@@ -55,7 +55,7 @@ def _emit(records: list[dict], fmt: str, fields: tuple[str, ...] | None = None) 
 
 
 def cmd_eval(args) -> int:
-    p = Prime(args.p)
+    p = Prime(int(args.p))
     a = _parse_a(args.a, p)
     got = vp_closed(a, p)
     rec = {
@@ -78,7 +78,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    p = Prime(args.p)
+    p = Prime(int(args.p))
     if p % 3 != 1:
         raise ValueError(f"p = {p} has no such representations (p != 1 mod 3)")
     quad = represent_a3b(p)
@@ -91,7 +91,7 @@ def cmd_represent(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p = Prime(args.p)
+    p = Prime(int(args.p))
     a = _parse_a(args.a, p)
     if p % 3 == 1:
         tag = cubic_class(a, p, represent_a3b(p)).name

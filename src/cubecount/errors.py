@@ -7,6 +7,7 @@ domain errors in one clause.  Each class also inherits the closest builtin
 
 __all__ = [
     "BadK",
+    "CompositeModulus",
     "CubecountError",
     "EmptyDomain",
     "InternalInconsistency",
@@ -25,6 +26,10 @@ class CubecountError(Exception):
 
 class ZeroInverse(CubecountError, ZeroDivisionError):
     """Inverse of 0 mod p was requested."""
+
+
+class CompositeModulus(CubecountError, ValueError):
+    """A modulus that must be prime showed itself composite mid-computation."""
 
 
 class ZeroArgument(CubecountError, ValueError):

@@ -10,9 +10,11 @@ have already vetted.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
+from numbers import Integral
 
-from .errors import ZeroInverse
+from .errors import CompositeModulus, ZeroInverse
 
 __all__ = [
     "MAX_PRIME",
@@ -63,10 +65,15 @@ def is_prime(n: int) -> bool:
 
 
 class Prime(int):
-    """A validated prime modulus: prime, greater than 3, below 2**62."""
+    """A validated prime modulus: prime, greater than 3, below 2**62.
+
+    Accepts integers (not bools) and Fraction or Decimal values that are
+    whole numbers; anything else, a float included, is a ValueError rather
+    than being truncated.
+    """
 
     def __new__(cls, p) -> "Prime":
-        p = int(p)
+        p = _integral(p)
         if p <= 3:
             raise ValueError(f"modulus must be a prime greater than 3, got {p}")
         if p >= MAX_PRIME:
@@ -74,6 +81,17 @@ class Prime(int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return super().__new__(cls, p)
+
+
+def _integral(p) -> int:
+    """p as an int, if it is an integer or a whole Fraction or Decimal."""
+    if isinstance(p, Integral) and not isinstance(p, bool):
+        return int(p)
+    if isinstance(p, Fraction) and p.denominator == 1:
+        return p.numerator
+    if isinstance(p, Decimal) and p.is_finite() and p == p.to_integral_value():
+        return int(p)
+    raise ValueError(f"modulus must be an integer, got {p!r}")
 
 
 def mul_mod(a: int, b: int, p: int) -> int:
@@ -122,7 +140,8 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
     Returns min(r, p - r) of the two roots, and 0 for a = 0 (mod p).
     Tonelli-Shanks in the general case, with the usual p = 3 (mod 4)
-    shortcut.
+    shortcut.  A composite p that Tonelli-Shanks runs into raises
+    CompositeModulus instead of searching on; this is no primality test.
     """
     a %= p
     if a == 0:
@@ -137,20 +156,26 @@ def sqrt_mod(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
+    # A prime has a non-residue below p; Euler's criterion gives only +-1
+    # on units, so any other value, or none found, means p is composite.
     z = 2
-    while legendre(z, p) != -1:
+    while (e := legendre(z, p)) != -1:
         z += 1
+        if e != 1 or z >= p:
+            raise CompositeModulus(f"{p} is not prime")
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
     while t != 1:
         t2 = t
-        i = 0
         for i in range(1, m):
             t2 = t2 * t2 % p
             if t2 == 1:
                 break
+        else:
+            # mod a prime, t has order 2^i for some i < m
+            raise CompositeModulus(f"{p} is not prime")
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p

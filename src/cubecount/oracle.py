@@ -4,23 +4,32 @@ Everything here is definitionally simple on purpose: these counts are the
 oracles the closed forms are checked against, so they avoid the identities
 the closed forms rely on.  numpy keeps the O(p) scans fast enough for
 exhaustive sweeps into the thousands.
+
+Two batched kernels answer a whole family at one prime: ``family_counts``
+enumerates x^2 + a/x for every a at once, and ``jacobsthal_all`` gets every
+Jacobsthal sum by correlating the cube histogram with the quadratic-residue
+table.  They only enumerate or correlate; like the per-parameter oracles,
+they never use cubic-class theory or a closed-form identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from . import _tables
-from .errors import EmptyDomain, ZeroArgument
+from .errors import EmptyDomain, InternalInconsistency, ZeroArgument
 
 __all__ = [
     "CountResult",
     "Domain",
     "RationalMap",
     "discriminant_cubic",
+    "family_counts",
+    "jacobsthal_all",
     "jacobsthal_brute",
     "np_cubic_roots",
     "vp_brute",
@@ -111,6 +120,44 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     return CountResult(v, seen if want_bitmap else None)
 
 
+#: Bytes family_counts holds per block of rows a: the int64 values of the
+#: block and its attainment bitmap, 9 bytes per (a, x) cell, both allocated
+#: once per call and reused by every block.
+FAMILY_BLOCK_BYTES = 256 * 1024
+
+
+@lru_cache(maxsize=8)
+def family_counts(p: int) -> np.ndarray:
+    """V[a] = number of distinct values of x^2 + a/x over the units x.
+
+    All p rows a in [0, p) by enumeration, a block of rows at a time:
+    x^2 + a * x^(-1) is scattered into a (rows, p) bitmap, and each row is
+    counted.  O(p^2) time; memory is O(p) plus FAMILY_BLOCK_BYTES (one row
+    per block at least).  The read-only result is cached per prime.
+    """
+    xs = _tables.xs_nonzero(p)
+    sq = xs * xs % p
+    inv = _tables.inv_table(p)[1:]
+    rows = max(1, FAMILY_BLOCK_BYTES // (9 * p))
+    shift = np.arange(0, rows * p, p, dtype=np.int64)[:, None]
+    vals = np.empty((rows, p - 1), dtype=np.int64)
+    seen = np.empty((rows, p), dtype=bool)
+    counts = np.empty(p, dtype=np.int64)
+    for lo in range(0, p, rows):
+        n = min(rows, p - lo)
+        v, s = vals[:n], seen[:n]
+        # v[i, x] = (x^2 + (lo + i) / x) mod p, shifted into row i of s
+        np.multiply.outer(np.arange(lo, lo + n, dtype=np.int64), inv, out=v)
+        v += sq
+        v %= p
+        v += shift[:n]
+        s.fill(False)
+        s.ravel()[v.ravel()] = True
+        counts[lo : lo + n] = np.count_nonzero(s, axis=1)
+    counts.flags.writeable = False
+    return counts
+
+
 def discriminant_cubic(a1: int, a2: int, a3: int) -> int:
     """Discriminant of x^3 + a1 x^2 + a2 x + a3, as an exact integer.
 
@@ -144,3 +191,25 @@ def jacobsthal_brute(m: int, p: int) -> int:
     qr = _tables.qr_table(p)
     vals = (_tables.cubes_nonzero(p) + m) % p
     return int(qr[m]) * int(qr[vals].sum())
+
+
+def jacobsthal_all(p: int) -> np.ndarray:
+    """J[m] = jacobsthal_brute(m, p) for every m in [0, p), with J[0] = 0.
+
+    sum_y ((y^3 + m)/p) is the cyclic correlation, at shift m, of the
+    histogram of nonzero cubes with the quadratic-residue table; it is
+    taken by real FFT in O(p log p) and rounded.  Every exact sum is an
+    integer, so a float result further than 1/4 from one means the
+    transform lost precision, and InternalInconsistency is raised rather
+    than a rounded guess returned.
+    """
+    qr = _tables.qr_table(p)
+    hist = np.bincount(_tables.cubes_nonzero(p), minlength=p)
+    sums = np.fft.irfft(np.fft.rfft(hist).conj() * np.fft.rfft(qr), n=p)
+    exact = np.rint(sums)
+    err = float(np.abs(sums - exact).max())
+    if err >= 0.25:
+        raise InternalInconsistency(
+            f"Jacobsthal correlation mod {p} is {err:.3f} from an integer"
+        )
+    return qr * exact.astype(np.int64)

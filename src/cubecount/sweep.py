@@ -1,6 +1,9 @@
 """Exhaustive equivalence sweeps: closed forms vs enumeration, per prime.
 
-Each check takes a prime and returns (pairs tested, mismatch rows).  A
+Each check takes a prime and returns (pairs tested, mismatch rows).  The
+checks on the x^2 + a/x family read one table of counts per prime
+(family_counts), and the Jacobsthal check one vector of sums
+(jacobsthal_all); the closed form is still evaluated per parameter.  A
 mismatch row is a dict with keys check / p / a / v_closed / v_brute; the
 "a" slot carries whatever indexes the comparison (the family parameter, a
 Jacobsthal argument, or a short label for per-prime identities).  Rows are
@@ -10,9 +13,12 @@ across processes.
 
 from __future__ import annotations
 
+import os
 import random
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import isqrt
 from multiprocessing import Pool
 
@@ -29,7 +35,7 @@ from .closedform import (
     jacobi_check,
 )
 from .cubicres import count_t_preimages, is_cubic_residue
-from .oracle import Domain, RationalMap, jacobsthal_brute, vp_brute
+from .oracle import Domain, RationalMap, family_counts, jacobsthal_all, vp_brute
 from .quadform import _cached_a3b, represent_l27m
 
 __all__ = ["CHECKS", "SweepReport", "primes_between", "run_sweep"]
@@ -68,12 +74,12 @@ def _row(check: str, p: int, a, v_closed, v_brute) -> dict:
 
 def check_theorem21(p: int):
     """Main count: vp_closed vs enumeration of x^2 + a/x, all nonzero a."""
+    counts = family_counts(p).tolist()
     bad = []
     for a in range(1, p):
         vc = vp_closed(a, p).v
-        vb = vp_brute(RationalMap.x2_plus_a_over_x(a), p, Domain.NONZERO).v
-        if vc != vb:
-            bad.append(_row("theorem21", p, a, vc, vb))
+        if vc != counts[a]:
+            bad.append(_row("theorem21", p, a, vc, counts[a]))
     return p - 1, bad
 
 
@@ -92,12 +98,12 @@ def check_lemma22(p: int):
 def check_lemma23(p: int):
     """Jacobsthal sums: closed form vs the definitional sum, all nonzero m."""
     rep = _cached_a3b(p) if p % 3 == 1 else None
+    sums = jacobsthal_all(p).tolist()
     bad = []
     for m in range(1, p):
         jc = jacobsthal_closed(m, p, rep)
-        jb = jacobsthal_brute(m, p)
-        if jc != jb:
-            bad.append(_row("lemma23", p, m, jc, jb))
+        if jc != sums[m]:
+            bad.append(_row("lemma23", p, m, jc, sums[m]))
     return p - 1, bad
 
 
@@ -107,10 +113,11 @@ def check_cor21(p: int):
         return 0, []
     rep = _cached_a3b(p)
     top = (2 * p - 1 + 2 * rep.A) // 3
+    counts = family_counts(p).tolist()
     bad = []
     for a in range(1, p):
         vc = vp_2a(a, p).v
-        vb = vp_brute(RationalMap.x2_plus_a_over_x(2 * a % p), p, Domain.NONZERO).v
+        vb = counts[2 * a % p]
         if vc != vb:
             bad.append(_row("cor21", p, a, vc, vb))
         elif is_cubic_residue(a, p) != (vc == top):
@@ -125,9 +132,10 @@ def check_cor23(p: int):
         return 0, []
     rep = _cached_a3b(p)
     eis = represent_l27m(p)
-    v1 = vp_brute(RationalMap.x2_plus_a_over_x(1), p, Domain.NONZERO).v
+    counts = family_counts(p)
+    v1 = int(counts[1])
     v1h = vp_brute(RationalMap.x_plus_a_over_2x2(2), p, Domain.NONZERO).v
-    v2 = vp_brute(RationalMap.x2_plus_a_over_x(2), p, Domain.NONZERO).v
+    v2 = int(counts[2])
     bad = []
     if l_from_count(p, v1) != eis.L:
         bad.append(_row("cor23", p, "L|x^2+1/x", eis.L, l_from_count(p, v1)))
@@ -143,7 +151,7 @@ def check_cor24(p: int):
     if p % 3 != 1:
         return 0, []
     want = _cor24_value(p, _cached_a3b(p))
-    c1 = vp_brute(RationalMap.x2_plus_a_over_x(4 % p), p, Domain.NONZERO).v
+    c1 = int(family_counts(p)[4 % p])
     c2 = vp_brute(RationalMap.x_plus_a_over_2x2(4), p, Domain.NONZERO).v
     bad = []
     if c1 != want:
@@ -211,12 +219,25 @@ def _run_chunk(args) -> tuple[int, list[dict]]:
     return pairs, bad
 
 
+def _chunk_bounds(ps: list[int], n_chunks: int) -> list[int]:
+    """Cut points splitting ps into n_chunks runs of about equal sum of p^2.
+
+    The family table costs O(p^2) per prime, so equal prime counts would
+    leave the top of the range in the last chunk.
+    """
+    cum = list(accumulate(p * p for p in ps))
+    total = cum[-1] if cum else 0
+    cuts = [bisect_left(cum, total * i / n_chunks) + 1 for i in range(1, n_chunks)]
+    return [0, *cuts, len(ps)]
+
+
 def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     """Run the selected checks over every prime 3 < p <= max_p.
 
-    The prime list is split into contiguous chunks; workers are stateless
-    and results are merged back in ascending order, so the report is
-    identical for any job count.
+    The prime list is split into contiguous chunks of about equal cost;
+    workers are stateless and results are merged back in ascending order,
+    so the report is identical for any job count.  At most os.cpu_count()
+    worker processes are started; config["jobs"] records the number used.
     """
     t0 = time.perf_counter()
     names = list(CHECKS) if checks is None else list(checks)
@@ -226,10 +247,10 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     ps = primes_between(5, max_p)
     if jobs is None or jobs < 1:
         jobs = 1
-    jobs = min(jobs, max(1, len(ps)))
+    jobs = min(jobs, os.cpu_count() or 1, max(1, len(ps)))
     # A few chunks per worker keeps the heavy top-of-range primes balanced.
     n_chunks = min(len(ps), 4 * jobs) or 1
-    bounds = [round(i * len(ps) / n_chunks) for i in range(n_chunks + 1)]
+    bounds = _chunk_bounds(ps, n_chunks)
     work = [(ps[lo:hi], names) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     if jobs == 1:
         parts = [_run_chunk(w) for w in work]

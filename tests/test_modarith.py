@@ -1,10 +1,14 @@
 """Scalar arithmetic kernels: exact values plus definitional cross-checks."""
 
 import math
+import signal
+from contextlib import contextmanager
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from cubecount.errors import ZeroInverse
+from cubecount.errors import CubecountError, ZeroInverse
 from cubecount.modarith import (
     MAX_PRIME,
     Prime,
@@ -103,6 +107,34 @@ def test_sqrt_mod_exhaustive_small():
                 assert r <= p - r  # canonical representative
 
 
+@contextmanager
+def time_limit(seconds: int):
+    """Fail the enclosed block with TimeoutError if it runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_sqrt_mod_composite_modulus_raises_promptly():
+    # 1729 = 7 * 13 * 19 is a Carmichael number: 1726 passes the Euler test
+    # and no z in [2, 1729) is a non-residue by it, so an unbounded search
+    # never ends
+    with time_limit(5):
+        with pytest.raises(CubecountError):
+            sqrt_mod(1726, 1729)
+        # 3277 = 29 * 113: the search finds a z, then no power of t reaches 1
+        with pytest.raises(CubecountError):
+            sqrt_mod(7, 3277)
+
+
 def test_is_prime_examples():
     assert is_prime(2) and is_prime(3) and is_prime(5) and is_prime(10007)
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
@@ -129,3 +161,12 @@ def test_prime_type_validation():
             Prime(bad)
     with pytest.raises(ValueError):
         Prime(2**89 - 1)  # prime, but beyond the supported range
+
+
+def test_prime_rejects_non_integral_moduli():
+    for ok in (Fraction(13), Fraction(26, 2), Decimal("13"), Decimal("13.000")):
+        p = Prime(ok)
+        assert p == 13 and type(p) is Prime
+    for bad in (13.9, 13.0, True, Fraction(27, 2), Decimal("13.9"), Decimal("NaN"), Decimal("Infinity"), "13", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Prime(bad)

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from cubecount.errors import EmptyDomain, ZeroArgument
+from cubecount.errors import EmptyDomain, InternalInconsistency, ZeroArgument
 from cubecount.modarith import inv_mod, legendre
 from cubecount.oracle import (
+    FAMILY_BLOCK_BYTES,
     Domain,
     RationalMap,
     discriminant_cubic,
+    family_counts,
+    jacobsthal_all,
     jacobsthal_brute,
     np_cubic_roots,
     vp_brute,
@@ -200,3 +203,27 @@ def test_jacobsthal_cube_twist_invariance():
             base = jacobsthal_brute(m, p)
             for c in cubes[:5]:
                 assert jacobsthal_brute(c * m % p, p) == base
+
+
+def test_batched_oracles_match_per_parameter_oracles():
+    # both classes mod 3; 701 and 1009 span several row blocks of the family
+    # table, the last one partial
+    for p in (701, 1009):
+        rows = FAMILY_BLOCK_BYTES // (9 * p)
+        assert 1 < rows < p and p % rows != 0
+    for p in (5, 7, 11, 13, 31, 37, 701, 1009):
+        counts = family_counts(p)
+        assert counts.shape == (p,) and not counts.flags.writeable
+        for a in range(1, p):
+            assert counts[a] == vp_brute(RationalMap.x2_plus_a_over_x(a), p, Domain.NONZERO).v
+        sums = jacobsthal_all(p)
+        assert sums.shape == (p,) and sums[0] == 0
+        for m in range(1, p):
+            assert sums[m] == jacobsthal_brute(m, p)
+
+
+def test_jacobsthal_all_refuses_an_inexact_transform(monkeypatch):
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.4)
+    with pytest.raises(InternalInconsistency):
+        jacobsthal_all(13)

@@ -1,8 +1,10 @@
 """Sweep harness: registry, report shape, and parallel determinism."""
 
+import os
+
 import pytest
 
-from cubecount.sweep import CHECKS, SweepReport, primes_between, run_sweep
+from cubecount.sweep import CHECKS, SweepReport, _chunk_bounds, primes_between, run_sweep
 
 
 def test_registry_names():
@@ -58,3 +60,24 @@ def test_run_sweep_tiny_range():
     rep = run_sweep(5)
     assert rep.primes_checked == 1
     assert rep.mismatches == []
+
+
+def test_run_sweep_caps_jobs_at_cpu_count(monkeypatch):
+    # four primes up to 13, so even a broken cap starts at most four workers
+    serial = run_sweep(13, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rep = run_sweep(13, jobs=1000)
+    assert rep.config["jobs"] == 2
+    assert rep.mismatches == serial.mismatches
+    assert rep.pairs_checked == serial.pairs_checked
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run_sweep(13, jobs=1000).config["jobs"] == 1
+
+
+def test_chunks_are_contiguous_and_of_equal_cost():
+    ps = primes_between(5, 1200)
+    bounds = _chunk_bounds(ps, 8)
+    assert bounds[0] == 0 and bounds[-1] == len(ps) and bounds == sorted(bounds)
+    costs = [sum(p * p for p in ps[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    assert max(costs) <= sum(costs) / 8 + max(ps) ** 2
+    assert _chunk_bounds([], 1) == [0, 0]
