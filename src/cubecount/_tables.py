@@ -2,13 +2,17 @@
 
 All tables are int64 and marked read-only.  Products of two residues must
 stay exact in int64, which caps the enumerable modulus at isqrt(2**63).
+numpy is imported on first use, inside the table builders, so importing
+the package costs no numpy import until a table is built.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Largest modulus for which (p-1)**2 still fits in int64.
 MAX_ENUM_PRIME = 3_037_000_499
@@ -28,12 +32,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def xs_all(p: int) -> np.ndarray:
+    import numpy as np
+
     check_enumerable(p)
     return _frozen(np.arange(p, dtype=np.int64))
 
 
 @lru_cache(maxsize=8)
 def xs_nonzero(p: int) -> np.ndarray:
+    import numpy as np
+
     check_enumerable(p)
     return _frozen(np.arange(1, p, dtype=np.int64))
 
@@ -45,6 +53,8 @@ def inv_table(p: int) -> np.ndarray:
     Computed as x^(p-2) by a vectorised square-and-multiply ladder,
     O(p log p) element operations.
     """
+    import numpy as np
+
     acc = np.ones(p, dtype=np.int64)
     base = xs_all(p).copy()
     e = p - 2
@@ -64,6 +74,8 @@ def qr_table(p: int) -> np.ndarray:
     square mod p, which keeps this table independent of the Euler-criterion
     scalar path.
     """
+    import numpy as np
+
     sq = xs_nonzero(p)
     tab = np.full(p, -1, dtype=np.int64)
     tab[0] = 0

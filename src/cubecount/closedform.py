@@ -6,6 +6,10 @@ For p = 1 (mod 3), write p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0; the
 count is decided by the cubic class of 2a^2, and the companion families
 x^2 + 2a/x and x + a/(2x^2) by the class of a itself.  All case numerators
 are divisible by 3; that divisibility is asserted, never rounded.
+
+Every public function here that takes a modulus p checks it first with
+modarith.checked_prime, so a composite p raises CompositeModulus instead of
+giving a meaningless count.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from .errors import (
     WrongResidueClass,
     ZeroArgument,
 )
-from .modarith import as_residue, inv_mod
-from .oracle import jacobsthal_brute
+from .modarith import as_residue, checked_prime, inv_mod
+from .oracle import jacobsthal_all
 from .quadform import QuadRep, _cached_a3b, represent_l27m
 
 __all__ = [
@@ -92,6 +96,7 @@ def vp_closed(a, p: int) -> VpBreakdown:
 
     a may be an int or a Fraction and is reduced mod p first.
     """
+    p = checked_prime(p)
     a = _nonzero_residue(a, p)
     if p % 3 == 2:
         return VpBreakdown(_div3(2 * p - 1), "2mod3", p, a)
@@ -113,12 +118,15 @@ def vp_closed_via_26(a, p: int) -> int:
 
         6 V = 4(p - x3) + (x3 - 1) + (1 - 3 x3) Phi,
 
-    and the right side is divisible by 6 exactly.
+    and the right side is divisible by 6 exactly.  Phi is read from the
+    correlation vector jacobsthal_all(p), cached per prime, so a loop over
+    every a costs one O(p log p) correlation rather than O(p) per a.
     """
+    p = checked_prime(p)
     a = _nonzero_residue(a, p)
     x3 = chi3(p)
-    # (2a^2/p) = (2/p) since a is a unit, so the brute sum needs no extra factor.
-    phi = jacobsthal_brute(2 * a * a % p, p)
+    # (2a^2/p) = (2/p) since a is a unit, so the sum needs no extra factor.
+    phi = int(jacobsthal_all(p)[2 * a * a % p])
     v6 = 4 * (p - x3) + (x3 - 1) + (1 - 3 * x3) * phi
     q, r = divmod(v6, 6)
     if r:
@@ -136,6 +144,7 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
         m^((p-1)/3) = (-1 + A/B)/2  ->  -1 + A - 3B
         m^((p-1)/3) = (-1 - A/B)/2  ->  -1 + A + 3B
     """
+    p = checked_prime(p)
     m = _nonzero_residue(m, p)
     if p % 3 == 2:
         return -1
@@ -161,6 +170,7 @@ def vp_2a(a, p: int) -> VpBreakdown:
 
     Always equals vp_closed(2a mod p, p).v.
     """
+    p = checked_prime(p)
     if p % 3 != 1:
         raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
     a = _nonzero_residue(a, p)
@@ -189,6 +199,7 @@ def vp_half_x2(a, p: int) -> int:
     as many values as x^2 + (2/a)/x, so the result also equals
     vp_closed(2 * inv(a), p).v.
     """
+    p = checked_prime(p)
     a = _nonzero_residue(a, p)
     if p % 3 == 2:
         return _div3(2 * p - 1)
@@ -205,6 +216,7 @@ def vp_half_x2(a, p: int) -> int:
 
 def a_from_count(p: int, v2: int) -> int:
     """Invert the count of x^2 + 2/x: A = (3 v2 + 1)/2 - p."""
+    p = checked_prime(p)
     if p % 3 != 1:
         raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
     t = 3 * v2 + 1
@@ -215,6 +227,7 @@ def a_from_count(p: int, v2: int) -> int:
 
 def l_from_count(p: int, v1: int) -> int:
     """Invert the count of x^2 + 1/x: L = 2p - 1 - 3 v1."""
+    p = checked_prime(p)
     if p % 3 != 1:
         raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
     return 2 * p - 1 - 3 * v1
@@ -235,6 +248,7 @@ def vp_cor24(p: int) -> tuple[int, int]:
     evaluations are computed independently and must agree with the
     formula; a mismatch raises.
     """
+    p = checked_prime(p)
     if p % 3 != 1:
         raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
     rep = _cached_a3b(p)
@@ -255,6 +269,7 @@ def von_sterneck_value(p: int) -> int:
     Whenever a1^2 - 3 a2 is nonzero mod p the count over all of Z_p is
     (2p + (p/3))/3, independent of the coefficients (von Sterneck).
     """
+    p = checked_prime(p)
     return _div3(2 * p + chi3(p))
 
 
@@ -264,6 +279,7 @@ def binom_mod(n: int, k: int, p: int) -> int:
     Multiplicative O(k) evaluation: the rising product over the numerator
     against k! in the denominator, both mod p.
     """
+    p = checked_prime(p)
     if k < 0 or k > n:
         return 0
     num = den = 1
@@ -281,6 +297,7 @@ def jacobi_check(p: int) -> tuple[bool, bool]:
 
     Returns (A holds, L holds).
     """
+    p = checked_prime(p)
     if p % 3 != 1:
         raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
     rep = _cached_a3b(p)

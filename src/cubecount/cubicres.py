@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _tables
 from .errors import BadK, SingularPoint, WrongResidueClass, ZeroArgument
 from .modarith import as_residue, inv_mod
 from .quadform import QuadRep, class_value_targets
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CubicClass",
@@ -27,6 +29,7 @@ __all__ = [
     "is_cubic_residue",
     "k_map",
     "t_map",
+    "t_preimage_counts",
 ]
 
 
@@ -97,6 +100,8 @@ def h_set(p: int) -> np.ndarray:
     Members are {0, 2, 3, ..., (p-1)/2} minus any x with x^2 = -3 (mod p);
     at most one such x lies in the range, and only when p = 1 (mod 3).
     """
+    import numpy as np
+
     half = (p - 1) // 2
     xs = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.arange(2, half + 1, dtype=np.int64)]
@@ -108,16 +113,24 @@ def h_set(p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _tmap_values(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(members, t_map over members) for the fundamental domain, cached."""
+def t_preimage_counts(p: int) -> np.ndarray:
+    """n[t] = how many x in the fundamental domain have t_map(x) = t.
+
+    One vector for every t in [0, p) at once: t_map over h_set(p), then a
+    histogram.  O(p) time and memory; the read-only result is cached per
+    prime.
+    """
+    import numpy as np
+
     xs = h_set(p)
     s = xs * xs % p
     u = (s + 3) % p
     num = u * u % p * u % p
     d = (s - 1) % p
     tv = num * _tables.inv_table(p)[d * d % p] % p
-    tv.flags.writeable = False
-    return xs, tv
+    counts = np.bincount(tv, minlength=p)
+    counts.flags.writeable = False
+    return counts
 
 
 def count_t_preimages(t: int, p: int) -> int:
@@ -129,8 +142,7 @@ def count_t_preimages(t: int, p: int) -> int:
     t %= p
     if t == 0:
         raise ZeroArgument("t = 0 is not in the image of t_map")
-    _, tv = _tmap_values(p)
-    return int(np.count_nonzero(tv == t))
+    return int(t_preimage_counts(p)[t])
 
 
 def in_c0(k, p: int) -> bool:

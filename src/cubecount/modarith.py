@@ -4,14 +4,16 @@ Residues are plain ints in [0, p); every function reduces its arguments, so
 any int is accepted.  Python integers are arbitrary precision, which makes
 the double-width intermediates exact across the whole supported range.
 ``Prime`` is the validated boundary type: the CLI constructs one before
-touching the kernels, while library-internal callers pass plain ints they
-have already vetted.
+touching the kernels.  The closed forms take either a ``Prime`` or a plain
+int and check it with ``checked_prime``, which remembers the plain ints it
+has validated, so a loop over one modulus runs the primality test once.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Integral
 
 from .errors import CompositeModulus, ZeroInverse
@@ -20,6 +22,7 @@ __all__ = [
     "MAX_PRIME",
     "Prime",
     "as_residue",
+    "checked_prime",
     "inv_mod",
     "is_prime",
     "legendre",
@@ -69,7 +72,8 @@ class Prime(int):
 
     Accepts integers (not bools) and Fraction or Decimal values that are
     whole numbers; anything else, a float included, is a ValueError rather
-    than being truncated.
+    than being truncated.  A composite raises CompositeModulus, which is a
+    ValueError too.
     """
 
     def __new__(cls, p) -> "Prime":
@@ -79,8 +83,30 @@ class Prime(int):
         if p >= MAX_PRIME:
             raise ValueError(f"modulus must be below 2**62, got {p}")
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise CompositeModulus(f"{p} is not prime")
         return super().__new__(cls, p)
+
+
+def checked_prime(p, _prime: type = Prime) -> int:
+    """p as a validated prime modulus, or the error Prime(p) raises.
+
+    A Prime is returned at once.  A plain int is validated by Prime and
+    returned as an int; the last few hundred are remembered, so a loop over
+    one modulus runs is_prime once, not once per call.  Other accepted
+    types (Fraction, Decimal) are validated on every call.  _prime is bound
+    when the module loads, so a wrapper later put over the module name
+    Prime (perfbench's tracer does this) leaves the fast path working.
+    """
+    if type(p) is _prime:
+        return p
+    if type(p) is int:
+        return _checked_int(p)
+    return int(Prime(p))
+
+
+@lru_cache(maxsize=256)
+def _checked_int(p: int) -> int:
+    return int(Prime(p))
 
 
 def _integral(p) -> int:

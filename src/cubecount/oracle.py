@@ -3,7 +3,8 @@
 Everything here is definitionally simple on purpose: these counts are the
 oracles the closed forms are checked against, so they avoid the identities
 the closed forms rely on.  numpy keeps the O(p) scans fast enough for
-exhaustive sweeps into the thousands.
+exhaustive sweeps into the thousands; it is imported on first use, inside
+the functions that build arrays, so the closed-form layers never load it.
 
 Two batched kernels answer a whole family at one prime: ``family_counts``
 enumerates x^2 + a/x for every a at once, and ``jacobsthal_all`` gets every
@@ -17,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _tables
 from .errors import EmptyDomain, InternalInconsistency, ZeroArgument
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CountResult",
@@ -90,6 +93,8 @@ class CountResult:
 
 
 def _eval_poly(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
+    import numpy as np
+
     acc = np.full(xs.shape, coeffs[-1] % p, dtype=np.int64)
     for c in coeffs[-2::-1]:
         acc = (acc * xs + c % p) % p
@@ -104,6 +109,8 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     products stop being exact (~3.0e9); enumeration is impractical long
     before that.
     """
+    import numpy as np
+
     xs = _tables.xs_all(p) if domain is Domain.ALL else _tables.xs_nonzero(p)
     num = _eval_poly(f.numerator, xs, p)
     den = _eval_poly(f.denominator, xs, p)
@@ -135,6 +142,8 @@ def family_counts(p: int) -> np.ndarray:
     counted.  O(p^2) time; memory is O(p) plus FAMILY_BLOCK_BYTES (one row
     per block at least).  The read-only result is cached per prime.
     """
+    import numpy as np
+
     xs = _tables.xs_nonzero(p)
     sq = xs * xs % p
     inv = _tables.inv_table(p)[1:]
@@ -174,6 +183,8 @@ def discriminant_cubic(a1: int, a2: int, a3: int) -> int:
 
 def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     """Number of distinct roots of x^3 + a1 x^2 + a2 x + a3 mod p (0..3)."""
+    import numpy as np
+
     vals = _eval_poly((a3, a2, a1, 1), _tables.xs_all(p), p)
     return int(np.count_nonzero(vals == 0))
 
@@ -193,6 +204,7 @@ def jacobsthal_brute(m: int, p: int) -> int:
     return int(qr[m]) * int(qr[vals].sum())
 
 
+@lru_cache(maxsize=8)
 def jacobsthal_all(p: int) -> np.ndarray:
     """J[m] = jacobsthal_brute(m, p) for every m in [0, p), with J[0] = 0.
 
@@ -201,8 +213,11 @@ def jacobsthal_all(p: int) -> np.ndarray:
     taken by real FFT in O(p log p) and rounded.  Every exact sum is an
     integer, so a float result further than 1/4 from one means the
     transform lost precision, and InternalInconsistency is raised rather
-    than a rounded guess returned.
+    than a rounded guess returned.  The read-only result is cached per
+    prime.
     """
+    import numpy as np
+
     qr = _tables.qr_table(p)
     hist = np.bincount(_tables.cubes_nonzero(p), minlength=p)
     sums = np.fft.irfft(np.fft.rfft(hist).conj() * np.fft.rfft(qr), n=p)
@@ -212,4 +227,6 @@ def jacobsthal_all(p: int) -> np.ndarray:
         raise InternalInconsistency(
             f"Jacobsthal correlation mod {p} is {err:.3f} from an integer"
         )
-    return qr * exact.astype(np.int64)
+    sums = qr * exact.astype(np.int64)
+    sums.flags.writeable = False
+    return sums

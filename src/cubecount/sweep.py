@@ -2,8 +2,9 @@
 
 Each check takes a prime and returns (pairs tested, mismatch rows).  The
 checks on the x^2 + a/x family read one table of counts per prime
-(family_counts), and the Jacobsthal check one vector of sums
-(jacobsthal_all); the closed form is still evaluated per parameter.  A
+(family_counts), the Jacobsthal check one vector of sums (jacobsthal_all)
+and the t-map check one vector of preimage counts (t_preimage_counts); the
+closed form is still evaluated per parameter.  A
 mismatch row is a dict with keys check / p / a / v_closed / v_brute; the
 "a" slot carries whatever indexes the comparison (the family parameter, a
 Jacobsthal argument, or a short label for per-prime identities).  Rows are
@@ -20,9 +21,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import isqrt
-from multiprocessing import Pool
-
-import numpy as np
 
 from .closedform import (
     _cor24_value,
@@ -34,7 +32,7 @@ from .closedform import (
     vp_closed,
     jacobi_check,
 )
-from .cubicres import count_t_preimages, is_cubic_residue
+from .cubicres import is_cubic_residue, t_preimage_counts
 from .oracle import Domain, RationalMap, family_counts, jacobsthal_all, vp_brute
 from .quadform import _cached_a3b, represent_l27m
 
@@ -58,6 +56,8 @@ class SweepReport:
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """Primes in [lo, hi], by sieve."""
+    import numpy as np
+
     if hi < 2:
         return []
     sieve = np.ones(hi + 1, dtype=bool)
@@ -85,10 +85,11 @@ def check_theorem21(p: int):
 
 def check_lemma22(p: int):
     """Preimage counts of t_map: 2 at t = 27, otherwise 0 or 3."""
+    counts = t_preimage_counts(p).tolist()
     bad = []
     t27 = 27 % p
     for t in range(1, p):
-        n = count_t_preimages(t, p)
+        n = counts[t]
         want = 2 if t == t27 else (3 if n else 0)
         if n != want:
             bad.append(_row("lemma22", p, t, want, n))
@@ -243,7 +244,7 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     names = list(CHECKS) if checks is None else list(checks)
     for name in names:
         if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r} (choose from {sorted(CHECKS)})")
+            raise ValueError(f"unknown check {name!r} (choose from {','.join(CHECKS)})")
     ps = primes_between(5, max_p)
     if jobs is None or jobs < 1:
         jobs = 1
@@ -255,6 +256,8 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     if jobs == 1:
         parts = [_run_chunk(w) for w in work]
     else:
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             parts = pool.map(_run_chunk, work)
     pairs = sum(n for n, _ in parts)

@@ -7,9 +7,27 @@ against a second route.  Nothing in this module calls into cubecount.
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
 from math import isqrt
 
 import numpy as np
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Fail the enclosed block with TimeoutError if it runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def sieve_upto(n: int) -> np.ndarray:

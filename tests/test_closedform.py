@@ -21,15 +21,16 @@ from cubecount.closedform import (
 )
 from cubecount.cubicres import CubicClass, is_cubic_residue
 from cubecount.errors import (
+    CompositeModulus,
     MissingRep,
     NonIntegerResult,
     WrongResidueClass,
     ZeroArgument,
 )
-from cubecount.modarith import inv_mod
+from cubecount.modarith import Prime, inv_mod
 from cubecount.oracle import Domain, RationalMap, jacobsthal_brute, vp_brute
 from cubecount.quadform import represent_a3b, represent_l27m
-from helpers import primes_1mod3, primes_upto
+from helpers import primes_1mod3, primes_upto, time_limit
 
 
 def test_vp_closed_examples():
@@ -216,3 +217,28 @@ def test_jacobi_check_examples_and_sweep():
         assert jacobi_check(p) == (True, True)
     with pytest.raises(WrongResidueClass):
         jacobi_check(5)
+
+
+def test_composite_moduli_raise_promptly():
+    # 35 = 2 (mod 3); 91 and the Carmichael number 1729 are 1 (mod 3)
+    with time_limit(5):
+        for n in (35, 91, 1729):
+            for call in (
+                lambda: vp_closed(2, n),
+                lambda: vp_2a(2, n),
+                lambda: vp_half_x2(2, n),
+                lambda: jacobsthal_closed(2, n, represent_a3b(7)),
+                lambda: jacobsthal_closed(2, n),
+                lambda: vp_closed_via_26(2, n),
+                lambda: vp_cor24(n),
+                lambda: jacobi_check(n),
+            ):
+                with pytest.raises(CompositeModulus, match="is not prime"):
+                    call()
+
+
+def test_prime_and_plain_int_moduli_agree():
+    for p in (7, 13, 31, 2**61 - 1):
+        for a in (1, 2, 5):
+            assert vp_closed(a, Prime(p)) == vp_closed(a, p)
+            assert vp_half_x2(a, Prime(p)) == vp_half_x2(a, p)

@@ -13,6 +13,7 @@ from cubecount.cubicres import (
     is_cubic_residue,
     k_map,
     t_map,
+    t_preimage_counts,
 )
 from cubecount.errors import BadK, SingularPoint, WrongResidueClass, ZeroArgument
 from cubecount.modarith import legendre
@@ -145,3 +146,16 @@ def test_in_c0_negation_symmetry():
             if (k * k + 3) % p == 0:
                 continue
             assert in_c0(k, p) == in_c0((p - k) % p, p)
+
+
+def test_t_preimage_counts_vector():
+    # both classes mod 3, and primes whose h_set has (p = 1) or lacks a root of -3
+    for p in (5, 7, 11, 13, 29, 31, 1009, 1013):
+        counts = t_preimage_counts(p)
+        assert counts.shape == (p,) and not counts.flags.writeable
+        assert t_preimage_counts(p) is counts
+        scan = [0] * p
+        for x in h_set(p).tolist():
+            scan[t_map(x, p)] += 1
+        assert counts.tolist() == scan
+        assert [count_t_preimages(t, p) for t in range(1, p)] == scan[1:]

@@ -1,0 +1,99 @@
+"""What a fresh process imports: the closed-form path never loads numpy.
+
+numpy is imported inside the functions that build arrays, so
+`import cubecount` and the closed-form commands (eval, represent, classify)
+start without it, while every submodule is still imported eagerly.  Each
+check runs in a new interpreter, because this test process has numpy
+loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: A 61-bit prime = 1 (mod 3), where only the closed form is practical.
+P61 = 2305843009213694017
+
+SUBMODULES = ("_tables", "closedform", "cubicres", "errors", "modarith", "oracle", "quadform", "sweep")
+
+# Runs `python -m cubecount ARGS...` in this process, then reports on stderr
+# its exit status and whether numpy ended up in sys.modules.
+CLI_PROBE = """
+import runpy, sys
+sys.argv = ["cubecount", *sys.argv[1:]]
+try:
+    runpy.run_module("cubecount", run_name="__main__", alter_sys=True)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+sys.stderr.write("\\nPROBE exit=%s numpy=%d\\n" % (code, "numpy" in sys.modules))
+"""
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def run_cli(*args: str) -> tuple[int, bool, str]:
+    """(exit status, whether numpy was loaded, stdout) of one CLI process."""
+    proc = run_python(CLI_PROBE, *args)
+    tail = proc.stderr.strip().splitlines()[-1]
+    assert tail.startswith("PROBE "), proc.stderr
+    fields = dict(kv.split("=") for kv in tail.split()[1:])
+    return int(fields["exit"]), fields["numpy"] == "1", proc.stdout
+
+
+def test_import_loads_every_submodule_but_not_numpy():
+    code = (
+        "import json, sys, cubecount\n"
+        "print(json.dumps({\n"
+        "    'numpy': 'numpy' in sys.modules,\n"
+        "    'modules': sorted(m for m in sys.modules if m.startswith('cubecount.')),\n"
+        "    'missing': [n for n in cubecount.__all__ if not hasattr(cubecount, n)],\n"
+        "}))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["numpy"] is False
+    assert got["modules"] == [f"cubecount.{m}" for m in SUBMODULES]
+    assert got["missing"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--p", str(P61), "--a", "12345"),
+        ("eval", "--p", str(P61), "--a", "1/2", "--format", "csv"),
+        ("represent", "--p", str(P61)),
+        ("classify", "--p", str(P61), "--a", "3"),
+    ],
+)
+def test_closed_form_commands_do_not_load_numpy(argv):
+    code, numpy_loaded, out = run_cli(*argv)
+    assert code == 0
+    assert not numpy_loaded
+    assert str(P61) in out
+
+
+def test_enumeration_commands_still_work():
+    code, numpy_loaded, out = run_cli("eval", "--p", "13", "--a", "2", "--check")
+    assert code == 0 and numpy_loaded  # the probe does see numpy when it loads
+    assert json.loads(out)["match"] is True
+
+    code, _, out = run_cli("selftest")
+    assert code == 0 and "selftest: 0 failure(s)" in out
+
+    code, _, out = run_cli("sweep", "--max-p", "60", "--jobs", "1")
+    assert code == 0
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["mismatches"] == 0 and summary["primes_checked"] == 15

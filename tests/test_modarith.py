@@ -1,18 +1,18 @@
 """Scalar arithmetic kernels: exact values plus definitional cross-checks."""
 
 import math
-import signal
-from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from cubecount.errors import CubecountError, ZeroInverse
+from cubecount import modarith
+from cubecount.errors import CompositeModulus, CubecountError, ZeroInverse
 from cubecount.modarith import (
     MAX_PRIME,
     Prime,
     as_residue,
+    checked_prime,
     inv_mod,
     is_prime,
     legendre,
@@ -21,7 +21,7 @@ from cubecount.modarith import (
     rational_mod,
     sqrt_mod,
 )
-from helpers import primes_upto, sieve_upto, squares_mod, trial_factor
+from helpers import primes_upto, sieve_upto, squares_mod, time_limit, trial_factor
 
 
 def test_mul_pow_examples():
@@ -107,22 +107,6 @@ def test_sqrt_mod_exhaustive_small():
                 assert r <= p - r  # canonical representative
 
 
-@contextmanager
-def time_limit(seconds: int):
-    """Fail the enclosed block with TimeoutError if it runs too long."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def test_sqrt_mod_composite_modulus_raises_promptly():
     # 1729 = 7 * 13 * 19 is a Carmichael number: 1726 passes the Euler test
     # and no z in [2, 1729) is a non-residue by it, so an unbounded search
@@ -170,3 +154,28 @@ def test_prime_rejects_non_integral_moduli():
     for bad in (13.9, 13.0, True, Fraction(27, 2), Decimal("13.9"), Decimal("NaN"), Decimal("Infinity"), "13", None):
         with pytest.raises(ValueError, match="must be an integer"):
             Prime(bad)
+
+
+def test_prime_raises_composite_modulus():
+    for n in (35, 91, 1729, 3215031751):
+        with pytest.raises(CompositeModulus, match="is not prime"):
+            Prime(n)
+
+
+def test_checked_prime_validates_each_modulus_once(monkeypatch):
+    p = Prime(10007)
+    assert checked_prime(p) is p  # a Prime passes without a second test
+    calls = []
+    real = modarith.is_prime
+    monkeypatch.setattr(modarith, "is_prime", lambda n: calls.append(n) or real(n))
+    modarith._checked_int.cache_clear()
+    for _ in range(100):
+        q = checked_prime(10009)
+        assert q == 10009 and type(q) is int
+    assert calls == [10009]
+    for bad in (35, 1729):
+        with pytest.raises(CompositeModulus, match="is not prime"):
+            checked_prime(bad)
+    for bad in (10009.0, True, 3, 2**89 - 1):
+        with pytest.raises(ValueError):
+            checked_prime(bad)

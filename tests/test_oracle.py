@@ -223,7 +223,15 @@ def test_batched_oracles_match_per_parameter_oracles():
 
 
 def test_jacobsthal_all_refuses_an_inexact_transform(monkeypatch):
+    jacobsthal_all.cache_clear()  # the vector of 13 may be cached already
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.4)
     with pytest.raises(InternalInconsistency):
         jacobsthal_all(13)
+
+
+def test_jacobsthal_all_is_cached_and_read_only():
+    first = jacobsthal_all(31)
+    assert jacobsthal_all(31) is first
+    with pytest.raises(ValueError):
+        first[1] = 0
