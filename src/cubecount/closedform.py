@@ -4,8 +4,10 @@ Let V_p(f) be the number of residues attained by f(x) as x runs over the
 units mod p.  For p = 2 (mod 3) the count is (2p - 1)/3 regardless of a.
 For p = 1 (mod 3), write p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0; the
 count is decided by the cubic class of 2a^2, and the companion families
-x^2 + 2a/x and x + a/(2x^2) by the class of a itself.  All case numerators
-are divisible by 3; that divisibility is asserted, never rounded.
+x^2 + 2a/x and x + a/(2x^2) by the class of a itself.  Each case is
+(2p - 1 + t)/3 with t = quadform.class_trace of the keyed class: 2A,
+-A + 3B or -A - 3B.  All case numerators are divisible by 3; that
+divisibility is asserted, never rounded.
 
 Every public function here that takes a modulus p checks it first with
 modarith.checked_prime, so a composite p raises CompositeModulus instead of
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubicres import CubicClass, cubic_class
+from .cubicres import cubic_class
 from .errors import (
     InternalInconsistency,
     MissingRep,
@@ -26,7 +28,14 @@ from .errors import (
 )
 from .modarith import as_residue, checked_prime, inv_mod
 from .oracle import jacobsthal_all
-from .quadform import QuadRep, _cached_a3b, represent_l27m
+from .quadform import (
+    CubicClass,
+    QuadRep,
+    _cached_a3b,
+    _require_1mod3,
+    class_trace,
+    represent_l27m,
+)
 
 __all__ = [
     "VpBreakdown",
@@ -102,13 +111,8 @@ def vp_closed(a, p: int) -> VpBreakdown:
         return VpBreakdown(_div3(2 * p - 1), "2mod3", p, a)
     rep = _cached_a3b(p)
     c = cubic_class(2 * a * a % p, p, rep)
-    if c is CubicClass.UNIT:
-        num = 2 * p - 1 + 2 * rep.A
-    elif c is CubicClass.PLUS:
-        num = 2 * p - 1 - rep.A + 3 * rep.B
-    else:
-        num = 2 * p - 1 - rep.A - 3 * rep.B
-    return VpBreakdown(_div3(num), c.value, p, a, rep.A, rep.B, c)
+    v = _div3(2 * p - 1 + class_trace(c, rep.A, rep.B))
+    return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
 
 
 def vp_closed_via_26(a, p: int) -> int:
@@ -138,7 +142,7 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
     """Jacobsthal sum at m in closed form.
 
     -1 for every nonzero m when p = 2 (mod 3).  For p = 1 (mod 3) the rep
-    is required and the value is keyed on the cubic class of m:
+    is required and the value is -1 - t for the cubic class of m:
 
         m cube            ->  -1 - 2A
         m^((p-1)/3) = (-1 + A/B)/2  ->  -1 + A - 3B
@@ -150,75 +154,45 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
         return -1
     if rep is None:
         raise MissingRep("a QuadRep of p is required when p = 1 (mod 3)")
-    c = cubic_class(m, p, rep)
-    if c is CubicClass.UNIT:
-        return -1 - 2 * rep.A
-    if c is CubicClass.PLUS:
-        return -1 + rep.A - 3 * rep.B
-    return -1 + rep.A + 3 * rep.B
+    return -1 - class_trace(cubic_class(m, p, rep), rep.A, rep.B)
 
 
 def vp_2a(a, p: int) -> VpBreakdown:
     """Closed-form count for the companion family x^2 + 2a/x, p = 1 (mod 3).
 
-    Keyed on the class of a itself, with the non-unit cases swapped
-    relative to vp_closed:
-
-        a cube  ->  (2p - 1 + 2A) / 3        (iff a is a cubic residue)
-        PLUS    ->  (2p - 1 - A - 3B) / 3
-        MINUS   ->  (2p - 1 - A + 3B) / 3
-
-    Always equals vp_closed(2a mod p, p).v.
+    (2p - 1 + t)/3 at the conjugate of the class of a: PLUS and MINUS
+    swap relative to vp_closed, and the top case (2p - 1 + 2A)/3 occurs
+    iff a is a cubic residue.  Always equals vp_closed(2a mod p, p).v.
     """
     p = checked_prime(p)
-    if p % 3 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
+    _require_1mod3(p)
     a = _nonzero_residue(a, p)
     rep = _cached_a3b(p)
     c = cubic_class(a, p, rep)
-    if c is CubicClass.UNIT:
-        num = 2 * p - 1 + 2 * rep.A
-    elif c is CubicClass.PLUS:
-        num = 2 * p - 1 - rep.A - 3 * rep.B
-    else:
-        num = 2 * p - 1 - rep.A + 3 * rep.B
-    return VpBreakdown(_div3(num), c.value, p, a, rep.A, rep.B, c)
+    v = _div3(2 * p - 1 + class_trace(c, rep.A, -rep.B))
+    return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
 
 
 def vp_half_x2(a, p: int) -> int:
     """Closed-form count for x + a/(2x^2) over the units.
 
-    (2p - 1)/3 when p = 2 (mod 3); otherwise keyed on the class of a with
-    the same orientation as vp_closed:
-
-        a cube  ->  (2p - 1 + 2A) / 3
-        PLUS    ->  (2p - 1 - A + 3B) / 3
-        MINUS   ->  (2p - 1 - A - 3B) / 3
-
-    Substituting x -> 1/x and rescaling shows this family attains exactly
-    as many values as x^2 + (2/a)/x, so the result also equals
-    vp_closed(2 * inv(a), p).v.
+    (2p - 1)/3 when p = 2 (mod 3); otherwise (2p - 1 + t)/3 at the class
+    of a, the same orientation as vp_closed.  Substituting x -> 1/x and
+    rescaling shows this family attains exactly as many values as
+    x^2 + (2/a)/x, so the result also equals vp_closed(2 * inv(a), p).v.
     """
     p = checked_prime(p)
     a = _nonzero_residue(a, p)
     if p % 3 == 2:
         return _div3(2 * p - 1)
     rep = _cached_a3b(p)
-    c = cubic_class(a, p, rep)
-    if c is CubicClass.UNIT:
-        num = 2 * p - 1 + 2 * rep.A
-    elif c is CubicClass.PLUS:
-        num = 2 * p - 1 - rep.A + 3 * rep.B
-    else:
-        num = 2 * p - 1 - rep.A - 3 * rep.B
-    return _div3(num)
+    return _div3(2 * p - 1 + class_trace(cubic_class(a, p, rep), rep.A, rep.B))
 
 
 def a_from_count(p: int, v2: int) -> int:
     """Invert the count of x^2 + 2/x: A = (3 v2 + 1)/2 - p."""
     p = checked_prime(p)
-    if p % 3 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
+    _require_1mod3(p)
     t = 3 * v2 + 1
     if t % 2:
         raise NonIntegerResult(f"(3*{v2} + 1)/2 is not an integer")
@@ -228,16 +202,18 @@ def a_from_count(p: int, v2: int) -> int:
 def l_from_count(p: int, v1: int) -> int:
     """Invert the count of x^2 + 1/x: L = 2p - 1 - 3 v1."""
     p = checked_prime(p)
-    if p % 3 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
+    _require_1mod3(p)
     return 2 * p - 1 - 3 * v1
 
 
 def _cor24_value(p: int, rep: QuadRep) -> int:
-    """The count shared by x^2 + 4/x and x + 2/x^2, straight off (A, B)."""
-    if rep.B % 3 == 0:
-        return _div3(2 * p - 1 + 2 * rep.A)
-    return _div3(2 * p - 1 - rep.A + 3 * chi3(rep.B) * rep.B)
+    """The count shared by x^2 + 4/x and x + 2/x^2, straight off (A, B).
+
+    The class is read from B mod 3 (0, 1, 2 -> UNIT, PLUS, MINUS), never
+    from cubic_class, so vp_cor24 still compares two independent routes.
+    """
+    c = tuple(CubicClass)[rep.B % 3]
+    return _div3(2 * p - 1 + class_trace(c, rep.A, rep.B))
 
 
 def vp_cor24(p: int) -> tuple[int, int]:
@@ -249,8 +225,7 @@ def vp_cor24(p: int) -> tuple[int, int]:
     formula; a mismatch raises.
     """
     p = checked_prime(p)
-    if p % 3 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
+    _require_1mod3(p)
     rep = _cached_a3b(p)
     want = _cor24_value(p, rep)
     via_x2 = vp_closed(4 % p, p).v
@@ -298,8 +273,7 @@ def jacobi_check(p: int) -> tuple[bool, bool]:
     Returns (A holds, L holds).
     """
     p = checked_prime(p)
-    if p % 3 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
+    _require_1mod3(p)
     rep = _cached_a3b(p)
     eis = represent_l27m(p)
     k = (p - 1) // 3

@@ -3,19 +3,19 @@
 For p = 1 (mod 3) the cubes form an index-3 subgroup of the units; the
 class of a is the value a^((p-1)/3), which is 1 or one of the two primitive
 cube roots of unity (-1 +- A/B)/2.  The tags PLUS / MINUS follow the sign
-inside that expression, with the (A, B) convention pinned by quadform.
+inside that expression, with the (A, B) convention pinned by quadform,
+which also defines CubicClass.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import _tables
 from .errors import BadK, SingularPoint, WrongResidueClass, ZeroArgument
 from .modarith import as_residue, inv_mod
-from .quadform import QuadRep, class_value_targets
+from .quadform import CubicClass, QuadRep, _require_1mod3, root_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,33 +33,20 @@ __all__ = [
 ]
 
 
-class CubicClass(Enum):
-    """Which cube root of unity a^((p-1)/3) equals."""
-
-    UNIT = "unit"
-    PLUS = "plus"
-    MINUS = "minus"
-
-
 def cubic_class(a: int, p: int, rep: QuadRep) -> CubicClass:
     """Classify a nonzero residue a by the value of a^((p-1)/3) mod p.
 
     The QuadRep argument fixes which root of -3 is called A/B, hence which
     non-unit class is PLUS.  Only defined for p = 1 (mod 3).
     """
-    if p % 3 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
+    _require_1mod3(p)
     a %= p
     if a == 0:
         raise ZeroArgument("0 has no cubic class")
     c = pow(a, (p - 1) // 3, p)
-    if c == 1:
-        return CubicClass.UNIT
-    t_plus, t_minus = class_value_targets(p, rep)
-    if c == t_plus:
-        return CubicClass.PLUS
-    if c == t_minus:
-        return CubicClass.MINUS
+    cls = root_class(c, p, rep)
+    if cls is not None:
+        return cls
     raise WrongResidueClass(
         f"{a}^((p-1)/3) mod {p} = {c} is not a cube root of unity; is p prime?"
     )

@@ -26,8 +26,6 @@ __all__ = [
     "inv_mod",
     "is_prime",
     "legendre",
-    "mul_mod",
-    "pow_mod",
     "rational_mod",
     "sqrt_mod",
 ]
@@ -118,16 +116,6 @@ def _integral(p) -> int:
     if isinstance(p, Decimal) and p.is_finite() and p == p.to_integral_value():
         return int(p)
     raise ValueError(f"modulus must be an integer, got {p!r}")
-
-
-def mul_mod(a: int, b: int, p: int) -> int:
-    """a * b mod p.  Exact for any ints (no fixed-width intermediate)."""
-    return a * b % p
-
-
-def pow_mod(base: int, exp: int, p: int) -> int:
-    """base ** exp mod p for exp >= 0, by square-and-multiply."""
-    return pow(base, exp, p)
 
 
 def inv_mod(a: int, p: int) -> int:

@@ -242,6 +242,8 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     """
     t0 = time.perf_counter()
     names = list(CHECKS) if checks is None else list(checks)
+    if not names:
+        raise ValueError(f"no checks selected (choose from {','.join(CHECKS)})")
     for name in names:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r} (choose from {','.join(CHECKS)})")

@@ -151,6 +151,7 @@ def test_sweep_env_cap(capsys, monkeypatch):
 
 def test_sweep_bad_usage_exit_2(capsys):
     assert run_cli(capsys, "sweep", "--max-p", "50", "--checks", "nope")[0] == 2
+    assert run_cli(capsys, "sweep", "--max-p", "50", "--checks", ",")[0] == 2
     assert run_cli(capsys, "sweep", "--max-p", "4")[0] == 2
 
 

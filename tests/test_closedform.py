@@ -220,9 +220,9 @@ def test_jacobi_check_examples_and_sweep():
 
 
 def test_composite_moduli_raise_promptly():
-    # 35 = 2 (mod 3); 91 and the Carmichael number 1729 are 1 (mod 3)
+    # 35 = 2 (mod 3); 49, 91, 343 and the Carmichael number 1729 are 1 (mod 3)
     with time_limit(5):
-        for n in (35, 91, 1729):
+        for n in (35, 49, 91, 343, 1729):
             for call in (
                 lambda: vp_closed(2, n),
                 lambda: vp_2a(2, n),
@@ -232,6 +232,8 @@ def test_composite_moduli_raise_promptly():
                 lambda: vp_closed_via_26(2, n),
                 lambda: vp_cor24(n),
                 lambda: jacobi_check(n),
+                lambda: represent_a3b(n),
+                lambda: represent_l27m(n),
             ):
                 with pytest.raises(CompositeModulus, match="is not prime"):
                     call()

@@ -4,9 +4,10 @@ numpy is imported inside the functions that build arrays, so
 `import cubecount` and the closed-form commands (eval, represent, classify)
 start without it, while every submodule is still imported eagerly.  Each
 check runs in a new interpreter, because this test process has numpy
-loaded already.
+loaded already.  The layering rules are read from the source with ast.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "cubecount"
 
 #: A 61-bit prime = 1 (mod 3), where only the closed form is practical.
 P61 = 2305843009213694017
@@ -97,3 +99,41 @@ def test_enumeration_commands_still_work():
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["mismatches"] == 0 and summary["primes_checked"] == 15
+
+
+def package_imports(module: str) -> set[str]:
+    """The cubecount modules that module imports anywhere in its source."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # The package is flat, so a relative import is always level 1.
+            base = ".".join(filter(None, ["cubecount" if node.level else "", node.module]))
+            names = [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("cubecount.")}
+    return found
+
+
+def test_oracles_never_import_closed_form_theory():
+    # An oracle enumerates, sieves or correlates from the definition; it may
+    # not see cubic classes, representations or closed-form identities.
+    for module in ("oracle", "_tables"):
+        assert package_imports(module) <= {"_tables", "errors"}, module
+
+
+def test_package_imports_are_acyclic():
+    graph = {p.stem: package_imports(p.stem) for p in PACKAGE.glob("*.py")}
+    done: set[str] = set()
+
+    def visit(module: str, path: tuple[str, ...]) -> None:
+        assert module not in path, " -> ".join((*path, module))
+        if module not in done:
+            for dep in graph.get(module, ()):
+                visit(dep, (*path, module))
+            done.add(module)
+
+    for module in graph:
+        visit(module, ())

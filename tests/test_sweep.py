@@ -44,8 +44,9 @@ def test_run_sweep_check_subset_and_pair_accounting():
 
 
 def test_run_sweep_unknown_check():
-    with pytest.raises(ValueError):
-        run_sweep(60, checks=["nope"])
+    for checks in (["nope"], []):
+        with pytest.raises(ValueError):
+            run_sweep(60, checks=checks)
 
 
 def test_run_sweep_independent_of_jobs():
