@@ -3,146 +3,24 @@
 Closed-form counts keyed on the quadratic partition p = A^2 + 3B^2 and the
 cubic class of the parameter, definitional enumeration oracles to check
 them against, and a sweep harness that compares the two over every prime
-in range.
+in range.  The package exports the __all__ of each submodule below.
 """
 
-from .closedform import (
-    VpBreakdown,
-    a_from_count,
-    binom_mod,
-    chi3,
-    jacobi_check,
-    jacobsthal_closed,
-    l_from_count,
-    von_sterneck_value,
-    vp_2a,
-    vp_closed,
-    vp_closed_via_26,
-    vp_cor24,
-    vp_half_x2,
-)
-from .cubicres import (
-    CubicClass,
-    count_t_preimages,
-    cubic_class,
-    h_set,
-    in_c0,
-    is_cubic_residue,
-    k_map,
-    t_map,
-    t_preimage_counts,
-)
-from .errors import (
-    BadK,
-    CompositeModulus,
-    CubecountError,
-    EmptyDomain,
-    InternalInconsistency,
-    MissingRep,
-    NonIntegerResult,
-    SingularPoint,
-    WrongResidueClass,
-    ZeroArgument,
-    ZeroInverse,
-)
-from .modarith import (
-    MAX_PRIME,
-    Prime,
-    as_residue,
-    inv_mod,
-    is_prime,
-    legendre,
-    rational_mod,
-    sqrt_mod,
-)
-from .oracle import (
-    CountResult,
-    Domain,
-    RationalMap,
-    discriminant_cubic,
-    family_counts,
-    jacobsthal_all,
-    jacobsthal_brute,
-    np_cubic_roots,
-    vp_brute,
-)
-from .quadform import (
-    EisRep,
-    QuadRep,
-    class_trace,
-    class_value_targets,
-    l_from_ab,
-    represent_a3b,
-    represent_l27m,
-    root_class,
-    two_class_is_b_mult3,
-)
-from .sweep import CHECKS, SweepReport, primes_between, run_sweep
+from . import closedform, cubicres, errors, modarith, oracle, quadform, sweep
+from .closedform import *  # noqa: F403
+from .cubicres import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .modarith import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .quadform import *  # noqa: F403
+from .sweep import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadK",
-    "CHECKS",
-    "CompositeModulus",
-    "CountResult",
-    "CubecountError",
-    "CubicClass",
-    "Domain",
-    "EisRep",
-    "EmptyDomain",
-    "InternalInconsistency",
-    "MAX_PRIME",
-    "MissingRep",
-    "NonIntegerResult",
-    "Prime",
-    "QuadRep",
-    "RationalMap",
-    "SingularPoint",
-    "SweepReport",
-    "VpBreakdown",
-    "WrongResidueClass",
-    "ZeroArgument",
-    "ZeroInverse",
-    "a_from_count",
-    "as_residue",
-    "binom_mod",
-    "chi3",
-    "class_trace",
-    "class_value_targets",
-    "count_t_preimages",
-    "cubic_class",
-    "discriminant_cubic",
-    "family_counts",
-    "h_set",
-    "in_c0",
-    "inv_mod",
-    "is_cubic_residue",
-    "is_prime",
-    "jacobi_check",
-    "jacobsthal_all",
-    "jacobsthal_brute",
-    "jacobsthal_closed",
-    "k_map",
-    "l_from_ab",
-    "l_from_count",
-    "legendre",
-    "np_cubic_roots",
-    "primes_between",
-    "rational_mod",
-    "represent_a3b",
-    "represent_l27m",
-    "root_class",
-    "run_sweep",
-    "sqrt_mod",
-    "t_map",
-    "t_preimage_counts",
-    "two_class_is_b_mult3",
-    "von_sterneck_value",
-    "vp_2a",
-    "vp_brute",
-    "vp_closed",
-    "vp_closed_via_26",
-    "vp_cor24",
-    "vp_half_x2",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (closedform, cubicres, errors, modarith, oracle, quadform, sweep)
+        for name in module.__all__
+    }
+)

@@ -1,14 +1,17 @@
-"""Cached numpy lookup tables shared by the enumeration kernels.
+"""The per-prime memo for O(p) tables, and the tables shared by the oracles.
 
-All tables are int64 and marked read-only.  Products of two residues must
-stay exact in int64, which caps the enumerable modulus at isqrt(2**63).
-numpy is imported on first use, inside the table builders, so importing
-the package costs no numpy import until a table is built.
+Products of two residues must stay exact in int64, which caps the
+enumerable modulus at isqrt(2**63); every enumerating entry point checks
+it with check_enumerable before it allocates anything.  per_prime is the
+one cache policy for the O(p) tables: cap checked, table built, marked
+read-only, and kept for the last TABLE_PRIMES primes.  numpy is imported
+on first use, inside the table builders, so importing the package costs
+no numpy import until a table is built.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import functools
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -16,6 +19,11 @@ if TYPE_CHECKING:
 
 #: Largest modulus for which (p-1)**2 still fits in int64.
 MAX_ENUM_PRIME = 3_037_000_499
+
+#: How many primes' worth of each table is kept.  Every caller finishes one
+#: prime before it starts the next, so this only has to cover a caller that
+#: goes back to a recent prime.
+TABLE_PRIMES = 8
 
 
 def check_enumerable(p: int) -> None:
@@ -25,28 +33,26 @@ def check_enumerable(p: int) -> None:
         )
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def per_prime(build):
+    """Memoise an O(p) table builder: build(p) -> read-only ndarray.
+
+    The returned function checks p with check_enumerable, builds the table,
+    marks it read-only, and keeps the tables of the last TABLE_PRIMES primes.
+    It is the cache wrapper itself, with cache_info, cache_clear and
+    cache_parameters.
+    """
+
+    @functools.wraps(build)
+    def table(p: int) -> np.ndarray:
+        check_enumerable(p)
+        out = build(p)
+        out.flags.writeable = False
+        return out
+
+    return functools.lru_cache(maxsize=TABLE_PRIMES)(table)
 
 
-@lru_cache(maxsize=8)
-def xs_all(p: int) -> np.ndarray:
-    import numpy as np
-
-    check_enumerable(p)
-    return _frozen(np.arange(p, dtype=np.int64))
-
-
-@lru_cache(maxsize=8)
-def xs_nonzero(p: int) -> np.ndarray:
-    import numpy as np
-
-    check_enumerable(p)
-    return _frozen(np.arange(1, p, dtype=np.int64))
-
-
-@lru_cache(maxsize=8)
+@per_prime
 def inv_table(p: int) -> np.ndarray:
     """inv_table(p)[x] = x^(-1) mod p for x in [1, p); slot 0 holds 0.
 
@@ -56,17 +62,17 @@ def inv_table(p: int) -> np.ndarray:
     import numpy as np
 
     acc = np.ones(p, dtype=np.int64)
-    base = xs_all(p).copy()
+    base = np.arange(p, dtype=np.int64)
     e = p - 2
     while e:
         if e & 1:
             acc = acc * base % p
         base = base * base % p
         e >>= 1
-    return _frozen(acc)
+    return acc
 
 
-@lru_cache(maxsize=8)
+@per_prime
 def qr_table(p: int) -> np.ndarray:
     """qr_table(p)[v] = Legendre symbol (v/p) as -1 / 0 / +1.
 
@@ -76,15 +82,17 @@ def qr_table(p: int) -> np.ndarray:
     """
     import numpy as np
 
-    sq = xs_nonzero(p)
+    sq = np.arange(1, p, dtype=np.int64)
     tab = np.full(p, -1, dtype=np.int64)
     tab[0] = 0
     tab[sq * sq % p] = 1
-    return _frozen(tab)
+    return tab
 
 
-@lru_cache(maxsize=8)
+@per_prime
 def cubes_nonzero(p: int) -> np.ndarray:
     """y^3 mod p over y in [1, p)."""
-    y = xs_nonzero(p)
-    return _frozen(y * y % p * y % p)
+    import numpy as np
+
+    y = np.arange(1, p, dtype=np.int64)
+    return y * y % p * y % p

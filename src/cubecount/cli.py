@@ -232,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("selftest", help="run the embedded hand-checked vectors")
-    add_format(sp)
     sp.set_defaults(func=cmd_selftest)
 
     return parser

@@ -142,7 +142,8 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
     """Jacobsthal sum at m in closed form.
 
     -1 for every nonzero m when p = 2 (mod 3).  For p = 1 (mod 3) the rep
-    is required and the value is -1 - t for the cubic class of m:
+    of p is required (MissingRep without it, or with the rep of another
+    prime) and the value is -1 - t for the cubic class of m:
 
         m cube            ->  -1 - 2A
         m^((p-1)/3) = (-1 + A/B)/2  ->  -1 + A - 3B

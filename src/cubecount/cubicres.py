@@ -9,13 +9,12 @@ which also defines CubicClass.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import _tables
 from .errors import BadK, SingularPoint, WrongResidueClass, ZeroArgument
-from .modarith import as_residue, inv_mod
-from .quadform import CubicClass, QuadRep, _require_1mod3, root_class
+from .modarith import as_residue, checked_prime, inv_mod
+from .quadform import CubicClass, QuadRep, _require_rep, root_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -37,9 +36,10 @@ def cubic_class(a: int, p: int, rep: QuadRep) -> CubicClass:
     """Classify a nonzero residue a by the value of a^((p-1)/3) mod p.
 
     The QuadRep argument fixes which root of -3 is called A/B, hence which
-    non-unit class is PLUS.  Only defined for p = 1 (mod 3).
+    non-unit class is PLUS; it must be the rep of p.  Only defined for
+    p = 1 (mod 3).
     """
-    _require_1mod3(p)
+    _require_rep(p, rep)
     a %= p
     if a == 0:
         raise ZeroArgument("0 has no cubic class")
@@ -53,7 +53,11 @@ def cubic_class(a: int, p: int, rep: QuadRep) -> CubicClass:
 
 
 def is_cubic_residue(a: int, p: int) -> bool:
-    """Whether a is a cube mod p.  Every unit is a cube when p = 2 (mod 3)."""
+    """Whether a is a cube mod p.  Every unit is a cube when p = 2 (mod 3).
+
+    p is checked with checked_prime: a composite raises CompositeModulus.
+    """
+    p = checked_prime(p)
     a %= p
     if a == 0:
         raise ZeroArgument("0 is excluded from cubic residue tests")
@@ -89,6 +93,7 @@ def h_set(p: int) -> np.ndarray:
     """
     import numpy as np
 
+    _tables.check_enumerable(p)
     half = (p - 1) // 2
     xs = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.arange(2, half + 1, dtype=np.int64)]
@@ -99,7 +104,7 @@ def h_set(p: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
+@_tables.per_prime
 def t_preimage_counts(p: int) -> np.ndarray:
     """n[t] = how many x in the fundamental domain have t_map(x) = t.
 
@@ -115,9 +120,7 @@ def t_preimage_counts(p: int) -> np.ndarray:
     num = u * u % p * u % p
     d = (s - 1) % p
     tv = num * _tables.inv_table(p)[d * d % p] % p
-    counts = np.bincount(tv, minlength=p)
-    counts.flags.writeable = False
-    return counts
+    return np.bincount(tv, minlength=p)
 
 
 def count_t_preimages(t: int, p: int) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import _tables
@@ -111,7 +110,8 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     """
     import numpy as np
 
-    xs = _tables.xs_all(p) if domain is Domain.ALL else _tables.xs_nonzero(p)
+    _tables.check_enumerable(p)
+    xs = np.arange(0 if domain is Domain.ALL else 1, p, dtype=np.int64)
     num = _eval_poly(f.numerator, xs, p)
     den = _eval_poly(f.denominator, xs, p)
     ok = den != 0
@@ -133,7 +133,7 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
 FAMILY_BLOCK_BYTES = 256 * 1024
 
 
-@lru_cache(maxsize=8)
+@_tables.per_prime
 def family_counts(p: int) -> np.ndarray:
     """V[a] = number of distinct values of x^2 + a/x over the units x.
 
@@ -144,7 +144,7 @@ def family_counts(p: int) -> np.ndarray:
     """
     import numpy as np
 
-    xs = _tables.xs_nonzero(p)
+    xs = np.arange(1, p, dtype=np.int64)
     sq = xs * xs % p
     inv = _tables.inv_table(p)[1:]
     rows = max(1, FAMILY_BLOCK_BYTES // (9 * p))
@@ -163,7 +163,6 @@ def family_counts(p: int) -> np.ndarray:
         s.fill(False)
         s.ravel()[v.ravel()] = True
         counts[lo : lo + n] = np.count_nonzero(s, axis=1)
-    counts.flags.writeable = False
     return counts
 
 
@@ -185,7 +184,8 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     """Number of distinct roots of x^3 + a1 x^2 + a2 x + a3 mod p (0..3)."""
     import numpy as np
 
-    vals = _eval_poly((a3, a2, a1, 1), _tables.xs_all(p), p)
+    _tables.check_enumerable(p)
+    vals = _eval_poly((a3, a2, a1, 1), np.arange(p, dtype=np.int64), p)
     return int(np.count_nonzero(vals == 0))
 
 
@@ -204,7 +204,7 @@ def jacobsthal_brute(m: int, p: int) -> int:
     return int(qr[m]) * int(qr[vals].sum())
 
 
-@lru_cache(maxsize=8)
+@_tables.per_prime
 def jacobsthal_all(p: int) -> np.ndarray:
     """J[m] = jacobsthal_brute(m, p) for every m in [0, p), with J[0] = 0.
 
@@ -227,6 +227,4 @@ def jacobsthal_all(p: int) -> np.ndarray:
         raise InternalInconsistency(
             f"Jacobsthal correlation mod {p} is {err:.3f} from an integer"
         )
-    sums = qr * exact.astype(np.int64)
-    sums.flags.writeable = False
-    return sums
+    return qr * exact.astype(np.int64)

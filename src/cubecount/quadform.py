@@ -17,7 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
-from .errors import InternalInconsistency, WrongResidueClass
+from .errors import InternalInconsistency, MissingRep, WrongResidueClass
 from .modarith import checked_prime, inv_mod, sqrt_mod
 
 __all__ = [
@@ -39,15 +39,23 @@ def _require_1mod3(p: int) -> None:
         raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
 
 
+def _require_rep(p: int, rep: QuadRep) -> None:
+    """p = 1 (mod 3), and rep is the representation of p itself."""
+    _require_1mod3(p)
+    if rep.p != p:
+        raise MissingRep(f"the QuadRep given is of {rep.p}, not of p = {p}")
+
+
 @dataclass(frozen=True)
 class QuadRep:
-    """p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0."""
+    """p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0, for a prime p."""
 
     A: int
     B: int
     p: int
 
     def __post_init__(self):
+        checked_prime(self.p)
         if self.A * self.A + 3 * self.B * self.B != self.p:
             raise InternalInconsistency(
                 f"A^2 + 3B^2 = {self.A * self.A + 3 * self.B * self.B} != {self.p}"
@@ -96,23 +104,23 @@ def represent_a3b(p: int) -> QuadRep:
     p = checked_prime(p)
     _require_1mod3(p)
     root = sqrt_mod(p - 3, p)
-    if root is not None and root != 0:
-        for seed in (p - root, root):
-            b, c = p, seed
-            while c * c > p:
-                b, c = c, b % c
-            rem = p - c * c
-            if c > 0 and rem % 3 == 0:
-                y = isqrt(rem // 3)
-                if y > 0 and 3 * y * y == rem:
-                    return _normalized_a3b(c, y, p)
+    if root:
+        b, c = p, p - root
+        while c * c > p:
+            b, c = c, b % c
+        rem = p - c * c
+        if c > 0 and rem % 3 == 0:
+            y = isqrt(rem // 3)
+            if y > 0 and 3 * y * y == rem:
+                return _normalized_a3b(c, y, p)
     # The descent succeeds for every prime p = 1 (mod 3).
     raise InternalInconsistency(f"descent found no p = A^2 + 3B^2 for the prime {p}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cached_a3b(p: int) -> QuadRep:
-    # Hot paths (closed-form counts, sweeps) hit the same p many times.
+    # Hot paths (closed-form counts, sweeps) hit the same p many times; the
+    # bound keeps a stream of fresh primes from growing memory without end.
     return represent_a3b(p)
 
 
@@ -147,6 +155,7 @@ def class_value_targets(p: int, rep: QuadRep) -> tuple[int, int]:
     -3 mod p because A^2 = p - 3B^2.  Keeping this in one place fixes the
     sign convention for every consumer.
     """
+    _require_rep(p, rep)
     ab = rep.A % p * inv_mod(rep.B, p) % p
     inv2 = (p + 1) // 2
     t_plus = (ab - 1) % p * inv2 % p
@@ -204,7 +213,7 @@ def l_from_ab(p: int, rep: QuadRep) -> int:
         2^((p-1)/3) = (-1 - A/B)/2  ->  L = A + 3B
         2^((p-1)/3) = (-1 + A/B)/2  ->  L = A - 3B
     """
-    _require_1mod3(p)
+    _require_rep(p, rep)
     c2 = pow(2, (p - 1) // 3, p)
     c = root_class(c2, p, rep)
     if c is None:
@@ -216,5 +225,5 @@ def l_from_ab(p: int, rep: QuadRep) -> int:
 
 def two_class_is_b_mult3(p: int, rep: QuadRep) -> bool:
     """Whether 2 is a cubic residue mod p, read off as 3 | B."""
-    _require_1mod3(p)
+    _require_rep(p, rep)
     return rep.B % 3 == 0

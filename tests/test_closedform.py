@@ -234,6 +234,7 @@ def test_composite_moduli_raise_promptly():
                 lambda: jacobi_check(n),
                 lambda: represent_a3b(n),
                 lambda: represent_l27m(n),
+                lambda: is_cubic_residue(2, n),
             ):
                 with pytest.raises(CompositeModulus, match="is not prime"):
                     call()

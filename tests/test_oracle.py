@@ -1,10 +1,16 @@
 """Brute-force enumeration oracles, checked against pure-python scans."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cubecount import _tables
+from cubecount.cubicres import t_preimage_counts
 from cubecount.errors import EmptyDomain, InternalInconsistency, ZeroArgument
 from cubecount.modarith import inv_mod, legendre
 from cubecount.oracle import (
@@ -230,8 +236,79 @@ def test_jacobsthal_all_refuses_an_inexact_transform(monkeypatch):
         jacobsthal_all(13)
 
 
-def test_jacobsthal_all_is_cached_and_read_only():
-    first = jacobsthal_all(31)
-    assert jacobsthal_all(31) is first
+PER_PRIME_TABLES = (
+    _tables.inv_table,
+    _tables.qr_table,
+    _tables.cubes_nonzero,
+    family_counts,
+    jacobsthal_all,
+    t_preimage_counts,
+)
+
+
+@pytest.mark.parametrize("table", PER_PRIME_TABLES, ids=lambda t: t.__name__)
+def test_per_prime_tables_are_cached_and_read_only(table):
+    first = table(31)
+    assert table(31) is first
     with pytest.raises(ValueError):
         first[1] = 0
+    assert table.cache_parameters()["maxsize"] == _tables.TABLE_PRIMES
+
+
+#: The first prime above MAX_ENUM_PRIME.
+P_UNENUMERABLE = 3_037_000_507
+
+# Calls every enumerating entry point at P_UNENUMERABLE with the address
+# space capped at 3 GiB, so an O(p) array (24 GB of int64) fails at once
+# with MemoryError instead of taking the machine's memory; each call must
+# raise ValueError before it allocates.
+CAP_PROBE = """
+import resource, sys
+import numpy  # loaded before the address space is capped
+from cubecount import _tables
+from cubecount.cubicres import count_t_preimages, h_set, in_c0, t_preimage_counts
+from cubecount.oracle import (
+    Domain, RationalMap, family_counts, jacobsthal_all, jacobsthal_brute,
+    np_cubic_roots, vp_brute,
+)
+
+p = int(sys.argv[1])
+assert p > _tables.MAX_ENUM_PRIME
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+calls = {
+    "vp_brute": lambda: vp_brute(RationalMap.x2_plus_a_over_x(1), p, Domain.NONZERO),
+    "vp_brute_all": lambda: vp_brute(RationalMap.from_poly((0, 0, 1)), p, Domain.ALL),
+    "family_counts": lambda: family_counts(p),
+    "np_cubic_roots": lambda: np_cubic_roots(0, 0, 1, p),
+    "jacobsthal_brute": lambda: jacobsthal_brute(1, p),
+    "jacobsthal_all": lambda: jacobsthal_all(p),
+    "h_set": lambda: h_set(p),
+    "t_preimage_counts": lambda: t_preimage_counts(p),
+    "count_t_preimages": lambda: count_t_preimages(1, p),
+    "in_c0": lambda: in_c0(1, p),
+    "inv_table": lambda: _tables.inv_table(p),
+    "qr_table": lambda: _tables.qr_table(p),
+    "cubes_nonzero": lambda: _tables.cubes_nonzero(p),
+}
+for name, call in calls.items():
+    try:
+        call()
+        got = "returned"
+    except MemoryError:
+        got = "MemoryError"
+    except ValueError as exc:
+        got = "ValueError" if "too large for array enumeration" in str(exc) else repr(exc)
+    print(name, got)
+"""
+
+
+def test_enumeration_cap_is_checked_before_allocating():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", CAP_PROBE, str(P_UNENUMERABLE)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert len(got) == 13 and set(got.values()) == {"ValueError"}, got

@@ -2,7 +2,15 @@
 
 import pytest
 
-from cubecount.errors import InternalInconsistency, WrongResidueClass
+from cubecount import quadform
+from cubecount.closedform import jacobsthal_closed
+from cubecount.cubicres import cubic_class
+from cubecount.errors import (
+    CompositeModulus,
+    InternalInconsistency,
+    MissingRep,
+    WrongResidueClass,
+)
 from cubecount.quadform import (
     EisRep,
     QuadRep,
@@ -39,6 +47,8 @@ def test_normalisation_enforced():
         QuadRep(-2, -1, 7)  # B <= 0
     with pytest.raises(InternalInconsistency):
         QuadRep(1, 1, 7)  # equation fails
+    with pytest.raises(CompositeModulus):
+        QuadRep(1, 4, 49)  # normalised, but 49 = 7^2
     with pytest.raises(InternalInconsistency):
         EisRep(5, 1, 13)  # L = 2 (mod 3)
     with pytest.raises(InternalInconsistency):
@@ -71,3 +81,24 @@ def test_class_value_targets_are_primitive_cube_roots():
         for t in (t_plus, t_minus):
             assert t != 1
             assert pow(t, 3, p) == 1
+
+
+def test_a_rep_belongs_to_one_prime():
+    # the rep of 7 used at 13 or 31 used to give a class, or an answer, of 7
+    q7 = represent_a3b(7)
+    for call in (
+        lambda: class_value_targets(13, q7),
+        lambda: cubic_class(3, 13, q7),
+        lambda: l_from_ab(13, q7),
+        lambda: two_class_is_b_mult3(31, q7),
+        lambda: jacobsthal_closed(2, 13, q7),
+    ):
+        with pytest.raises(MissingRep):
+            call()
+    # the residue class of p is still checked first
+    with pytest.raises(WrongResidueClass):
+        cubic_class(2, 5, q7)
+
+
+def test_rep_cache_is_bounded():
+    assert quadform._cached_a3b.cache_parameters()["maxsize"] is not None
