@@ -1,10 +1,11 @@
 """The per-prime memo for O(p) tables, and the tables shared by the oracles.
 
 Products of two residues must stay exact in int64, which caps the
-enumerable modulus at isqrt(2**63); every enumerating entry point checks
-it with check_enumerable before it allocates anything.  per_prime is the
-one cache policy for the O(p) tables: cap checked, table built, marked
-read-only, and kept for the last TABLE_PRIMES primes.  numpy is imported
+enumerable modulus at isqrt(2**63), and the tables hold only mod a prime;
+every enumerating entry point checks both with check_enumerable before it
+allocates anything.  per_prime is the one cache policy for the O(p)
+tables: p checked, table built, marked read-only, and kept for the last
+TABLE_PRIMES primes.  numpy is imported
 on first use, inside the table builders, so importing the package costs
 no numpy import until a table is built.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 import functools
 from typing import TYPE_CHECKING
+
+from .errors import CompositeModulus
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,10 +30,34 @@ TABLE_PRIMES = 8
 
 
 def check_enumerable(p: int) -> None:
+    """ValueError above MAX_ENUM_PRIME; CompositeModulus unless p is prime,
+    since inv_table (Fermat's x^(p-2)) and qr_table are right only mod a prime."""
     if p > MAX_ENUM_PRIME:
         raise ValueError(
             f"p = {p} is too large for array enumeration (limit {MAX_ENUM_PRIME})"
         )
+    if not _is_prime_enumerable(p):
+        raise CompositeModulus(f"{p} is not prime")
+
+
+def _is_prime_enumerable(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5 and 7: exact below 3,215,031,751,
+    so for every n <= MAX_ENUM_PRIME.  Written here, not taken from
+    modarith, so that the oracles import nothing of the closed-form layers."""
+    if n < 11:
+        return n in (2, 3, 5, 7)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def per_prime(build):

@@ -37,10 +37,10 @@ def cubic_class(a: int, p: int, rep: QuadRep) -> CubicClass:
 
     The QuadRep argument fixes which root of -3 is called A/B, hence which
     non-unit class is PLUS; it must be the rep of p.  Only defined for
-    p = 1 (mod 3).
+    p = 1 (mod 3).  a is reduced by as_residue, so a float is a ValueError.
     """
     _require_rep(p, rep)
-    a %= p
+    a = as_residue(a, p)
     if a == 0:
         raise ZeroArgument("0 has no cubic class")
     c = pow(a, (p - 1) // 3, p)
@@ -55,10 +55,11 @@ def cubic_class(a: int, p: int, rep: QuadRep) -> CubicClass:
 def is_cubic_residue(a: int, p: int) -> bool:
     """Whether a is a cube mod p.  Every unit is a cube when p = 2 (mod 3).
 
-    p is checked with checked_prime: a composite raises CompositeModulus.
+    p is checked with checked_prime: a composite raises CompositeModulus;
+    a is reduced by as_residue.
     """
     p = checked_prime(p)
-    a %= p
+    a = as_residue(a, p)
     if a == 0:
         raise ZeroArgument("0 is excluded from cubic residue tests")
     if p % 3 == 2:

@@ -35,24 +35,30 @@ __all__ = [
 #: range on any backend.
 MAX_PRIME = 1 << 62
 
-# Witness set proven complete for n < 3.3 * 10**24 (Sorenson & Webster),
-# which covers the whole 64-bit range with room to spare.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Sinclair's seven Miller-Rabin bases decide every n < 2**64 (a base that
+# is 0 mod n is skipped).  The first twelve primes are fooled by
+# 318665857834031151167461 = 399165290221 * 798330580441; the first 13
+# decide every n < _MR_LIMIT (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for all 64-bit n."""
+    """Deterministic Miller-Rabin after trial division by the primes to 41:
+    exact below _MR_LIMIT (3.3e24), a ValueError from there on."""
     if n < 2:
         return False
-    for q in _MR_BASES:
+    for q in _MR_PRIMES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
+    if n >= _MR_LIMIT:
+        raise ValueError(f"no deterministic primality test is known for n >= {_MR_LIMIT}")
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+    d = (n - 1) >> r
+    for a in _MR_BASES_64 if n < 1 << 64 else _MR_PRIMES:
+        if a % n == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -107,15 +113,15 @@ def _checked_int(p: int) -> int:
     return int(Prime(p))
 
 
-def _integral(p) -> int:
-    """p as an int, if it is an integer or a whole Fraction or Decimal."""
-    if isinstance(p, Integral) and not isinstance(p, bool):
-        return int(p)
-    if isinstance(p, Fraction) and p.denominator == 1:
-        return p.numerator
-    if isinstance(p, Decimal) and p.is_finite() and p == p.to_integral_value():
-        return int(p)
-    raise ValueError(f"modulus must be an integer, got {p!r}")
+def _integral(x, name: str = "modulus") -> int:
+    """x as an int, if it is an integer or a whole Fraction or Decimal."""
+    if isinstance(x, Integral) and not isinstance(x, bool):
+        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    if isinstance(x, Decimal) and x.is_finite() and x == x.to_integral_value():
+        return int(x)
+    raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -131,10 +137,13 @@ def rational_mod(u: int, v: int, p: int) -> int:
 
 
 def as_residue(a, p: int) -> int:
-    """Reduce an int or Fraction into [0, p)."""
+    """a reduced into [0, p): an integer or whole Decimal, or any Fraction as
+    numerator / denominator.  A float or a bool is a ValueError, not truncated."""
+    if type(a) is int:
+        return a % p
     if isinstance(a, Fraction):
         return rational_mod(a.numerator, a.denominator, p)
-    return int(a) % p
+    return _integral(a, "a residue") % p
 
 
 def legendre(a: int, p: int) -> int:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import isqrt
 
 from .errors import InternalInconsistency, MissingRep, WrongResidueClass
-from .modarith import checked_prime, inv_mod, sqrt_mod
+from .modarith import checked_prime, inv_mod
 
 __all__ = [
     "CubicClass",
@@ -94,25 +94,27 @@ def _normalized_a3b(x: int, y: int, p: int) -> QuadRep:
 def represent_a3b(p: int) -> QuadRep:
     """The unique QuadRep of a prime p = 1 (mod 3).
 
-    Cornacchia-style Euclidean descent seeded with a square root of -3
-    mod p (-3 is a quadratic residue precisely for p = 1 mod 3): run the
-    remainder sequence from (p, root) down to the first term at most
-    sqrt(p), which is |A|; B follows by subtraction.  O(log p) after the
-    root extraction.  p is validated first, so a composite raises
-    CompositeModulus instead of coming back with a representation.
+    Cornacchia-style Euclidean descent: the remainder sequence from
+    (p, root), root > p/2 a square root of -3, down to its first term at
+    most sqrt(p), which is |A|; B follows by subtraction.  root = 2w + 1
+    for w = g^((p-1)/3), g the least non-cube (a prime has one below p), as
+    w^2 + w + 1 = 0: 1.5 pows on average, where Tonelli-Shanks takes about
+    five.  p is validated first, so a composite raises CompositeModulus.
     """
     p = checked_prime(p)
     _require_1mod3(p)
-    root = sqrt_mod(p - 3, p)
-    if root:
-        b, c = p, p - root
-        while c * c > p:
-            b, c = c, b % c
-        rem = p - c * c
-        if c > 0 and rem % 3 == 0:
-            y = isqrt(rem // 3)
-            if y > 0 and 3 * y * y == rem:
-                return _normalized_a3b(c, y, p)
+    g = 2
+    while (w := pow(g, (p - 1) // 3, p)) == 1:
+        g += 1
+    root = (2 * w + 1) % p
+    b, c = p, max(root, p - root)
+    while c * c > p:
+        b, c = c, b % c
+    rem = p - c * c
+    if c > 0 and rem % 3 == 0:
+        y = isqrt(rem // 3)
+        if y > 0 and 3 * y * y == rem:
+            return _normalized_a3b(c, y, p)
     # The descent succeeds for every prime p = 1 (mod 3).
     raise InternalInconsistency(f"descent found no p = A^2 + 3B^2 for the prime {p}")
 

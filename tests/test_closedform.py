@@ -19,7 +19,7 @@ from cubecount.closedform import (
     vp_cor24,
     vp_half_x2,
 )
-from cubecount.cubicres import CubicClass, is_cubic_residue
+from cubecount.cubicres import CubicClass, cubic_class, is_cubic_residue
 from cubecount.errors import (
     CompositeModulus,
     MissingRep,
@@ -238,6 +238,22 @@ def test_composite_moduli_raise_promptly():
             ):
                 with pytest.raises(CompositeModulus, match="is not prime"):
                     call()
+
+
+def test_non_integral_parameters_raise():
+    # a float or a bool is no residue: it is refused, never truncated
+    rep = represent_a3b(7)
+    for bad in (2.5, 2.0, True, "2"):
+        for call in (
+            lambda: vp_closed(bad, 7),
+            lambda: vp_2a(bad, 7),
+            lambda: vp_half_x2(bad, 7),
+            lambda: jacobsthal_closed(bad, 7, rep),
+            lambda: cubic_class(bad, 7, rep),
+            lambda: is_cubic_residue(bad, 7),
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
 
 
 def test_prime_and_plain_int_moduli_agree():

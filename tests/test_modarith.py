@@ -1,6 +1,7 @@
 """Scalar arithmetic kernels: exact values plus definitional cross-checks."""
 
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -46,8 +47,12 @@ def test_rational_and_fraction_residues():
     assert as_residue(Fraction(1, 2), 7) == 4
     assert as_residue(-1, 7) == 6
     assert as_residue(10, 7) == 3
+    assert as_residue(Decimal("10"), 7) == 3
     with pytest.raises(ZeroInverse):
         rational_mod(1, 7, 7)
+    for bad in (2.5, 2.0, True, False, "3", None, Decimal("2.5")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            as_residue(bad, 7)
 
 
 def test_legendre_examples():
@@ -115,6 +120,30 @@ def test_is_prime_examples():
     f = trial_factor(n)
     assert f is not None and n % f == 0
     assert is_prime(2**61 - 1)
+    # the least strong pseudoprime to the first twelve prime bases, and the
+    # least prime above 2**64, where the first 13 primes are the bases
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**64 + 13)
+    # no deterministic witness set is known from 3.3e24 on
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="no deterministic primality test"):
+            is_prime(n)
+
+
+def test_is_prime_matches_strong_bpsw():
+    # BPSW is an independent test: sympy.isprime uses the same seven
+    # Miller-Rabin bases below 2**64, so it would be no second route.
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    bpsw = primetest.is_strong_bpsw_prp
+    rng = random.Random(20261018)
+    odd = [rng.randrange(1 << 61, 1 << 62) | 1 for _ in range(20_000)]
+    primes31 = [q for q in (rng.randrange(1 << 30, 1 << 31) | 1 for _ in range(3_000)) if bpsw(q)]
+    products = [rng.choice(primes31) * rng.choice(primes31) for _ in range(2_000)]
+    # strong pseudoprimes to the bases 2; 2, 3, 5; 2 to 7; and 2 to 31
+    pseudoprimes = [2047, 25326001, 3215031751, 3825123056546413051]
+    bad = [n for n in odd + products + pseudoprimes if is_prime(n) != bpsw(n)]
+    assert bad == []
+    assert sum(map(is_prime, odd)) > 500  # both answers occur
 
 
 def test_is_prime_matches_sieve():

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from cubecount import _tables
-from cubecount.cubicres import t_preimage_counts
-from cubecount.errors import EmptyDomain, InternalInconsistency, ZeroArgument
+from cubecount.cubicres import count_t_preimages, h_set, in_c0, t_preimage_counts
+from cubecount.errors import CompositeModulus, EmptyDomain, InternalInconsistency, ZeroArgument
 from cubecount.modarith import inv_mod, legendre
 from cubecount.oracle import (
     FAMILY_BLOCK_BYTES,
@@ -24,7 +24,7 @@ from cubecount.oracle import (
     np_cubic_roots,
     vp_brute,
 )
-from helpers import cubes_mod, primes_1mod3, primes_upto
+from helpers import cubes_mod, primes_1mod3, primes_upto, sieve_upto, time_limit
 
 
 def test_rational_map_constructors():
@@ -255,6 +255,25 @@ def test_per_prime_tables_are_cached_and_read_only(table):
     assert table.cache_parameters()["maxsize"] == _tables.TABLE_PRIMES
 
 
+def enumerating_calls(p: int) -> dict:
+    """Every enumerating entry point, by name, as a call at the modulus p."""
+    return {
+        "vp_brute": lambda: vp_brute(RationalMap.x2_plus_a_over_x(1), p, Domain.NONZERO),
+        "vp_brute_all": lambda: vp_brute(RationalMap.from_poly((0, 0, 1)), p, Domain.ALL),
+        "family_counts": lambda: family_counts(p),
+        "np_cubic_roots": lambda: np_cubic_roots(0, 0, 1, p),
+        "jacobsthal_brute": lambda: jacobsthal_brute(1, p),
+        "jacobsthal_all": lambda: jacobsthal_all(p),
+        "h_set": lambda: h_set(p),
+        "t_preimage_counts": lambda: t_preimage_counts(p),
+        "count_t_preimages": lambda: count_t_preimages(1, p),
+        "in_c0": lambda: in_c0(1, p),
+        "inv_table": lambda: _tables.inv_table(p),
+        "qr_table": lambda: _tables.qr_table(p),
+        "cubes_nonzero": lambda: _tables.cubes_nonzero(p),
+    }
+
+
 #: The first prime above MAX_ENUM_PRIME.
 P_UNENUMERABLE = 3_037_000_507
 
@@ -265,32 +284,14 @@ P_UNENUMERABLE = 3_037_000_507
 CAP_PROBE = """
 import resource, sys
 import numpy  # loaded before the address space is capped
+sys.path.insert(0, sys.argv[2])
 from cubecount import _tables
-from cubecount.cubicres import count_t_preimages, h_set, in_c0, t_preimage_counts
-from cubecount.oracle import (
-    Domain, RationalMap, family_counts, jacobsthal_all, jacobsthal_brute,
-    np_cubic_roots, vp_brute,
-)
+from test_oracle import enumerating_calls
 
 p = int(sys.argv[1])
 assert p > _tables.MAX_ENUM_PRIME
 resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
-calls = {
-    "vp_brute": lambda: vp_brute(RationalMap.x2_plus_a_over_x(1), p, Domain.NONZERO),
-    "vp_brute_all": lambda: vp_brute(RationalMap.from_poly((0, 0, 1)), p, Domain.ALL),
-    "family_counts": lambda: family_counts(p),
-    "np_cubic_roots": lambda: np_cubic_roots(0, 0, 1, p),
-    "jacobsthal_brute": lambda: jacobsthal_brute(1, p),
-    "jacobsthal_all": lambda: jacobsthal_all(p),
-    "h_set": lambda: h_set(p),
-    "t_preimage_counts": lambda: t_preimage_counts(p),
-    "count_t_preimages": lambda: count_t_preimages(1, p),
-    "in_c0": lambda: in_c0(1, p),
-    "inv_table": lambda: _tables.inv_table(p),
-    "qr_table": lambda: _tables.qr_table(p),
-    "cubes_nonzero": lambda: _tables.cubes_nonzero(p),
-}
-for name, call in calls.items():
+for name, call in enumerating_calls(p).items():
     try:
         call()
         got = "returned"
@@ -303,12 +304,38 @@ for name, call in calls.items():
 
 
 def test_enumeration_cap_is_checked_before_allocating():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": str(tests.parent / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", CAP_PROBE, str(P_UNENUMERABLE)],
+        [sys.executable, "-c", CAP_PROBE, str(P_UNENUMERABLE), str(tests)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     got = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
     assert len(got) == 13 and set(got.values()) == {"ValueError"}, got
+
+
+@pytest.mark.parametrize("n", [35, 561, 1729, 25326001])
+def test_enumeration_refuses_composite_moduli(n):
+    # Fermat inverses and squares-as-Legendre are wrong mod a composite:
+    # at 35, vp_brute would count 8 values of x^2 + 1/x, not 12.  561 and
+    # 1729 are Carmichael numbers; 25326001 is a strong pseudoprime to the
+    # bases 2, 3 and 5.
+    with time_limit(5):
+        for call in enumerating_calls(n).values():
+            with pytest.raises(CompositeModulus, match="is not prime"):
+                call()
+
+
+def test_check_enumerable_accepts_exactly_the_primes():
+    flags = sieve_upto(100_000)
+    bad = []
+    for n in range(100_001):
+        try:
+            _tables.check_enumerable(n)
+            prime = True
+        except CompositeModulus:
+            prime = False
+        if prime != flags[n]:
+            bad.append(n)
+    assert bad == []

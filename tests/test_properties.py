@@ -3,8 +3,12 @@
 They pin the PLUS/MINUS orientation of the class -> (A, B) table: a
 closed form with its orientation flipped breaks one of the first three,
 and the whole table flipped breaks the last, whose L comes from B mod 3.
-Examples are drawn deterministically, so a run is repeatable.
+The descent is checked from the other side: (A, B) is drawn first and the
+prime built from it.  Examples are drawn deterministically, so a run is
+repeatable.
 """
+
+from math import isqrt
 
 import pytest
 
@@ -59,3 +63,33 @@ def test_vp_closed_from_jacobsthal_sum(data, p):
 @hypothesis.given(primes_1mod3)
 def test_l_from_ab_is_eisenstein_l(p):
     assert l_from_ab(p, represent_a3b(p)) == represent_l27m(p).L
+
+
+@st.composite
+def reps_61bit(draw) -> tuple[int, int]:
+    """A normalised (A, B) with A^2 + 3B^2 a prime in [LO, HI).
+
+    B is drawn, then |A| from where A^2 + 3B^2 enters the range; |A| walks
+    up by 6, which keeps it prime to 3 and of the other parity from B,
+    until A^2 + 3B^2 is prime.
+    """
+    b = draw(st.integers(1, 1 << 29))
+    lo = isqrt(LO - 3 * b * b - 1) + 1
+    hi = isqrt(HI - 1 - 3 * b * b)
+    a = draw(st.integers(lo, hi - 6_000))
+    while a % 3 == 0 or (a + b) % 2 == 0:
+        a += 1
+    while not is_prime(a * a + 3 * b * b):
+        a += 6
+    hypothesis.assume(a <= hi)
+    return (a if a % 3 == 1 else -a), b
+
+
+@SETTINGS
+@hypothesis.given(reps_61bit())
+def test_represent_a3b_finds_the_drawn_pair(rep):
+    A, B = rep
+    p = A * A + 3 * B * B
+    assert LO <= p < HI
+    got = represent_a3b(p)
+    assert (got.A, got.B) == (A, B)
