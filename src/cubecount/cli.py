@@ -28,13 +28,21 @@ __all__ = ["main"]
 ENV_MAX_P = "CUBECOUNT_MAX_P"
 
 
+def _parse_p(text: str) -> Prime:
+    try:
+        p = int(text)
+    except ValueError:
+        raise ValueError(f"--p {text!r}: expected an integer") from None
+    return Prime(p)
+
+
 def _parse_a(text: str, p: int) -> int:
     """Parse the family parameter: an integer or a rational 'u/v'."""
-    if "/" in text:
-        u, _, v = text.partition("/")
-        a = rational_mod(int(u), int(v), p)
-    else:
-        a = int(text) % p
+    u, slash, v = text.partition("/")
+    try:
+        a = rational_mod(int(u), int(v) if slash else 1, p)
+    except ValueError:
+        raise ValueError(f"--a {text!r}: expected an integer or u/v") from None
     if a == 0:
         raise ValueError(f"a = {text} reduces to 0 mod {p}")
     return a
@@ -55,7 +63,7 @@ def _emit(records: list[dict], fmt: str, fields: tuple[str, ...] | None = None) 
 
 
 def cmd_eval(args) -> int:
-    p = Prime(int(args.p))
+    p = _parse_p(args.p)
     a = _parse_a(args.a, p)
     got = vp_closed(a, p)
     rec = {
@@ -78,7 +86,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_represent(args) -> int:
-    p = Prime(int(args.p))
+    p = _parse_p(args.p)
     if p % 3 != 1:
         raise ValueError(f"p = {p} has no such representations (p != 1 mod 3)")
     quad = represent_a3b(p)
@@ -91,7 +99,7 @@ def cmd_represent(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    p = Prime(int(args.p))
+    p = _parse_p(args.p)
     a = _parse_a(args.a, p)
     if p % 3 == 1:
         tag = cubic_class(a, p, represent_a3b(p)).name

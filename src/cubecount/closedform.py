@@ -18,21 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubicres import cubic_class
 from .errors import (
     InternalInconsistency,
     MissingRep,
     NonIntegerResult,
     WrongResidueClass,
-    ZeroArgument,
 )
-from .modarith import as_residue, checked_prime, inv_mod
+from .modarith import _nonzero_residue, checked_prime, inv_mod
 from .oracle import jacobsthal_all
 from .quadform import (
     CubicClass,
     QuadRep,
     _cached_a3b,
     _require_1mod3,
+    _require_rep,
+    _unit_class,
     class_trace,
     represent_l27m,
 )
@@ -87,13 +87,6 @@ def chi3(n: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _nonzero_residue(a, p: int) -> int:
-    a = as_residue(a, p)
-    if a == 0:
-        raise ZeroArgument("a must be nonzero mod p")
-    return a
-
-
 def vp_closed(a, p: int) -> VpBreakdown:
     """Closed-form count of distinct values of x^2 + a/x over the units.
 
@@ -110,7 +103,7 @@ def vp_closed(a, p: int) -> VpBreakdown:
     if p % 3 == 2:
         return VpBreakdown(_div3(2 * p - 1), "2mod3", p, a)
     rep = _cached_a3b(p)
-    c = cubic_class(2 * a * a % p, p, rep)
+    c = _unit_class(2 * a * a % p, p, rep)
     v = _div3(2 * p - 1 + class_trace(c, rep.A, rep.B))
     return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
 
@@ -155,7 +148,8 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
         return -1
     if rep is None:
         raise MissingRep("a QuadRep of p is required when p = 1 (mod 3)")
-    return -1 - class_trace(cubic_class(m, p, rep), rep.A, rep.B)
+    _require_rep(p, rep)
+    return -1 - class_trace(_unit_class(m, p, rep), rep.A, rep.B)
 
 
 def vp_2a(a, p: int) -> VpBreakdown:
@@ -169,7 +163,7 @@ def vp_2a(a, p: int) -> VpBreakdown:
     _require_1mod3(p)
     a = _nonzero_residue(a, p)
     rep = _cached_a3b(p)
-    c = cubic_class(a, p, rep)
+    c = _unit_class(a, p, rep)
     v = _div3(2 * p - 1 + class_trace(c, rep.A, -rep.B))
     return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
 
@@ -187,7 +181,7 @@ def vp_half_x2(a, p: int) -> int:
     if p % 3 == 2:
         return _div3(2 * p - 1)
     rep = _cached_a3b(p)
-    return _div3(2 * p - 1 + class_trace(cubic_class(a, p, rep), rep.A, rep.B))
+    return _div3(2 * p - 1 + class_trace(_unit_class(a, p, rep), rep.A, rep.B))
 
 
 def a_from_count(p: int, v2: int) -> int:

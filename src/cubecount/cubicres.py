@@ -12,9 +12,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from . import _tables
-from .errors import BadK, SingularPoint, WrongResidueClass, ZeroArgument
-from .modarith import as_residue, checked_prime, inv_mod
-from .quadform import CubicClass, QuadRep, _require_rep, root_class
+from .errors import BadK, SingularPoint, ZeroArgument
+from .modarith import _nonzero_residue, as_residue, checked_prime, inv_mod
+from .quadform import CubicClass, QuadRep, _require_rep, _unit_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,16 +40,7 @@ def cubic_class(a: int, p: int, rep: QuadRep) -> CubicClass:
     p = 1 (mod 3).  a is reduced by as_residue, so a float is a ValueError.
     """
     _require_rep(p, rep)
-    a = as_residue(a, p)
-    if a == 0:
-        raise ZeroArgument("0 has no cubic class")
-    c = pow(a, (p - 1) // 3, p)
-    cls = root_class(c, p, rep)
-    if cls is not None:
-        return cls
-    raise WrongResidueClass(
-        f"{a}^((p-1)/3) mod {p} = {c} is not a cube root of unity; is p prime?"
-    )
+    return _unit_class(_nonzero_residue(a, p), p, rep)
 
 
 def is_cubic_residue(a: int, p: int) -> bool:
@@ -59,12 +50,8 @@ def is_cubic_residue(a: int, p: int) -> bool:
     a is reduced by as_residue.
     """
     p = checked_prime(p)
-    a = as_residue(a, p)
-    if a == 0:
-        raise ZeroArgument("0 is excluded from cubic residue tests")
-    if p % 3 == 2:
-        return True
-    return pow(a, (p - 1) // 3, p) == 1
+    a = _nonzero_residue(a, p)
+    return p % 3 == 2 or pow(a, (p - 1) // 3, p) == 1
 
 
 def k_map(x: int, p: int) -> int:

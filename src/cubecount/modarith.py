@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
 
-from .errors import CompositeModulus, ZeroInverse
+from .errors import CompositeModulus, ZeroArgument, ZeroInverse
 
 __all__ = [
     "MAX_PRIME",
@@ -146,11 +146,19 @@ def as_residue(a, p: int) -> int:
     return _integral(a, "a residue") % p
 
 
+def _nonzero_residue(a, p: int) -> int:
+    a = as_residue(a, p)
+    if a == 0:
+        raise ZeroArgument("a must be nonzero mod p")
+    return a
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1}, by Euler's criterion.
 
-    p must be an odd prime; composite moduli give meaningless results.
+    p is checked with checked_prime: a composite raises CompositeModulus.
     """
+    p = checked_prime(p)
     a %= p
     if a == 0:
         return 0
@@ -163,9 +171,10 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
     Returns min(r, p - r) of the two roots, and 0 for a = 0 (mod p).
     Tonelli-Shanks in the general case, with the usual p = 3 (mod 4)
-    shortcut.  A composite p that Tonelli-Shanks runs into raises
-    CompositeModulus instead of searching on; this is no primality test.
+    shortcut.  p is checked with checked_prime: a composite raises
+    CompositeModulus.
     """
+    p = checked_prime(p)
     a %= p
     if a == 0:
         return 0
@@ -179,26 +188,19 @@ def sqrt_mod(a: int, p: int) -> int | None:
     while q % 2 == 0:
         q //= 2
         s += 1
-    # A prime has a non-residue below p; Euler's criterion gives only +-1
-    # on units, so any other value, or none found, means p is composite.
-    z = 2
-    while (e := legendre(z, p)) != -1:
+    z = 2  # a prime has a non-residue below p
+    while legendre(z, p) != -1:
         z += 1
-        if e != 1 or z >= p:
-            raise CompositeModulus(f"{p} is not prime")
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
     t = pow(a, q, p)
     m = s
     while t != 1:
         t2 = t
-        for i in range(1, m):
+        for i in range(1, m):  # t has order 2^i for some i < m
             t2 = t2 * t2 % p
             if t2 == 1:
                 break
-        else:
-            # mod a prime, t has order 2^i for some i < m
-            raise CompositeModulus(f"{p} is not prime")
         b = pow(c, 1 << (m - i - 1), p)
         r = r * b % p
         c = b * b % p

@@ -149,13 +149,11 @@ def represent_l27m(p: int) -> EisRep:
     return EisRep(a - 3 * b, abs(a + b) // 3, p)
 
 
-@lru_cache(maxsize=64)
 def class_value_targets(p: int, rep: QuadRep) -> tuple[int, int]:
     """The two primitive cube roots of unity mod p, as (plus, minus).
 
     plus = (-1 + A/B)/2 and minus = (-1 - A/B)/2; A/B is a square root of
-    -3 mod p because A^2 = p - 3B^2.  Keeping this in one place fixes the
-    sign convention for every consumer.
+    -3 mod p because A^2 = p - 3B^2.  For display; root_class needs neither.
     """
     _require_rep(p, rep)
     ab = rep.A % p * inv_mod(rep.B, p) % p
@@ -178,15 +176,31 @@ class CubicClass(Enum):
 
 
 def root_class(c: int, p: int, rep: QuadRep) -> CubicClass | None:
-    """The class named by a cube root of unity c mod p; None for any other c."""
+    """The class named by a cube root of unity c in [0, p); None for any other c.
+
+    c = (-1 +- A/B)/2 exactly when (2c + 1) B = +-A (mod p), so one product
+    tells PLUS from MINUS, with no inverse of B.  rep must be the rep of p.
+    """
+    _require_rep(p, rep)
+    return _root_class(c, p, rep) if 0 <= c < p else None
+
+
+def _root_class(c: int, p: int, rep: QuadRep) -> CubicClass | None:
+    # root_class for a c in [0, p) and a rep already checked against p
     if c == 1:
         return CubicClass.UNIT
-    t_plus, t_minus = class_value_targets(p, rep)
-    if c == t_plus:
+    s = (2 * c + 1) * rep.B % p
+    if s == rep.A % p:
         return CubicClass.PLUS
-    if c == t_minus:
-        return CubicClass.MINUS
-    return None
+    return CubicClass.MINUS if s == -rep.A % p else None
+
+
+def _unit_class(a: int, p: int, rep: QuadRep) -> CubicClass:
+    # The class of a unit a mod p, for a caller that has checked p, a and rep.
+    c = pow(a, (p - 1) // 3, p)
+    if (cls := _root_class(c, p, rep)) is None:
+        raise InternalInconsistency(f"{a}^((p-1)/3) mod {p} = {c} is no cube root of unity")
+    return cls
 
 
 #: t = alpha A + beta B for each class: the trace of w (A + B sqrt(-3)),
@@ -216,13 +230,7 @@ def l_from_ab(p: int, rep: QuadRep) -> int:
         2^((p-1)/3) = (-1 + A/B)/2  ->  L = A - 3B
     """
     _require_rep(p, rep)
-    c2 = pow(2, (p - 1) // 3, p)
-    c = root_class(c2, p, rep)
-    if c is None:
-        raise InternalInconsistency(
-            f"2^((p-1)/3) mod {p} = {c2} matches no cube root of unity"
-        )
-    return -class_trace(c, rep.A, rep.B)
+    return -class_trace(_unit_class(2, p, rep), rep.A, rep.B)
 
 
 def two_class_is_b_mult3(p: int, rep: QuadRep) -> bool:

@@ -75,6 +75,27 @@ def test_eval_bad_inputs_exit_2(capsys):
     assert run_cli(capsys, "eval", "--p", "7", "--a", "1/7")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--p", "7", "--a", "2.5"),
+        ("eval", "--p", "7", "--a", "x"),
+        ("classify", "--p", "7", "--a", "1/x"),
+        ("eval", "--a", "1", "--p", "x"),
+        ("represent", "--p", "7.0"),
+        ("classify", "--a", "1", "--p", "x"),
+    ],
+    ids=" ".join,
+)
+def test_parse_errors_name_the_flag(capsys, argv):
+    # the last flag given is the one that does not parse
+    flag, text = argv[-2:]
+    forms = {"--a": "an integer or u/v", "--p": "an integer"}[flag]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} {text!r}: expected {forms}\n"
+
+
 def test_eval_mismatch_exits_1(capsys, monkeypatch):
     # force a disagreement to exercise the mismatch path
     monkeypatch.setattr(

@@ -112,6 +112,20 @@ def test_sqrt_mod_composite_modulus_raises_promptly():
             sqrt_mod(7, 3277)
 
 
+def test_legendre_and_sqrt_mod_refuse_composite_moduli():
+    for call in (
+        lambda: legendre(2, 35),
+        lambda: legendre(5, 561),
+        lambda: legendre(2, 561),
+        lambda: sqrt_mod(4, 35),
+    ):
+        with pytest.raises(CompositeModulus):
+            call()
+    for fn in (legendre, sqrt_mod):
+        with pytest.raises(ValueError):
+            fn(1, 3)
+
+
 def test_is_prime_examples():
     assert is_prime(2) and is_prime(3) and is_prime(5) and is_prime(10007)
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)

@@ -2,10 +2,11 @@
 
 They pin the PLUS/MINUS orientation of the class -> (A, B) table: a
 closed form with its orientation flipped breaks one of the first three,
-and the whole table flipped breaks the last, whose L comes from B mod 3.
-The descent is checked from the other side: (A, B) is drawn first and the
-prime built from it.  Examples are drawn deterministically, so a run is
-repeatable.
+and the whole table flipped breaks the fourth, whose L comes from B mod 3.
+root_class, which names a root by (2c + 1) B = +-A, is held to the roots
+class_value_targets computes with an inverse.  The descent is checked
+from the other side: (A, B) is drawn first and the prime built from it.
+Examples are drawn deterministically, so a run is repeatable.
 """
 
 from math import isqrt
@@ -17,7 +18,14 @@ st = hypothesis.strategies
 
 from cubecount.closedform import jacobsthal_closed, vp_2a, vp_closed, vp_half_x2
 from cubecount.modarith import inv_mod, is_prime
-from cubecount.quadform import l_from_ab, represent_a3b, represent_l27m
+from cubecount.quadform import (
+    CubicClass,
+    class_value_targets,
+    l_from_ab,
+    represent_a3b,
+    represent_l27m,
+    root_class,
+)
 
 LO, HI = 1 << 60, 1 << 61
 
@@ -63,6 +71,18 @@ def test_vp_closed_from_jacobsthal_sum(data, p):
 @hypothesis.given(primes_1mod3)
 def test_l_from_ab_is_eisenstein_l(p):
     assert l_from_ab(p, represent_a3b(p)) == represent_l27m(p).L
+
+
+@SETTINGS
+@hypothesis.given(st.data(), primes_1mod3)
+def test_root_class_names_the_cube_roots_of_unity(data, p):
+    rep = represent_a3b(p)
+    t_plus, t_minus = class_value_targets(p, rep)
+    want = {1: CubicClass.UNIT, t_plus: CubicClass.PLUS, t_minus: CubicClass.MINUS}
+    for c, cls in want.items():
+        assert root_class(c, p, rep) is cls
+    c = data.draw(st.integers(0, p - 1))
+    assert root_class(c, p, rep) is want.get(c)
 
 
 @st.composite

@@ -12,12 +12,14 @@ from cubecount.errors import (
     WrongResidueClass,
 )
 from cubecount.quadform import (
+    CubicClass,
     EisRep,
     QuadRep,
     class_value_targets,
     l_from_ab,
     represent_a3b,
     represent_l27m,
+    root_class,
     two_class_is_b_mult3,
 )
 from helpers import primes_1mod3, search_a3b, search_l27m
@@ -81,6 +83,10 @@ def test_class_value_targets_are_primitive_cube_roots():
         for t in (t_plus, t_minus):
             assert t != 1
             assert pow(t, 3, p) == 1
+        want = {1: CubicClass.UNIT, t_plus: CubicClass.PLUS, t_minus: CubicClass.MINUS}
+        rep = represent_a3b(p)
+        for c in range(p):
+            assert root_class(c, p, rep) is want.get(c)
 
 
 def test_a_rep_belongs_to_one_prime():
@@ -88,6 +94,8 @@ def test_a_rep_belongs_to_one_prime():
     q7 = represent_a3b(7)
     for call in (
         lambda: class_value_targets(13, q7),
+        lambda: root_class(1, 13, q7),
+        lambda: root_class(3, 13, q7),
         lambda: cubic_class(3, 13, q7),
         lambda: l_from_ab(13, q7),
         lambda: two_class_is_b_mult3(31, q7),
