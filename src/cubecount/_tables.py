@@ -5,14 +5,16 @@ enumerable modulus at isqrt(2**63), and the tables hold only mod a prime;
 every enumerating entry point checks both with check_enumerable before it
 allocates anything.  per_prime is the one cache policy for the O(p)
 tables: p checked, table built, marked read-only, and kept for the last
-TABLE_PRIMES primes.  numpy is imported
-on first use, inside the table builders, so importing the package costs
-no numpy import until a table is built.
+TABLE_PRIMES primes.  is_prime, the package's one primality test, lives
+here so that the oracles and modarith can both import it.  numpy is
+imported on first use, inside the table builders, so importing the
+package costs no numpy import until a table is built.
 """
 
 from __future__ import annotations
 
 import functools
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .errors import CompositeModulus
@@ -28,36 +30,54 @@ MAX_ENUM_PRIME = 3_037_000_499
 #: goes back to a recent prime.
 TABLE_PRIMES = 8
 
+# Sinclair's seven Miller-Rabin bases decide every n < 2**64 (a base that
+# is 0 mod n is skipped).  The first twelve primes are fooled by
+# 318665857834031151167461 = 399165290221 * 798330580441; the first 13
+# decide every n < _MR_LIMIT (Sorenson & Webster, Math. Comp. 2017).
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin after trial division by the primes to 41:
+    exact below _MR_LIMIT (3.3e24), a ValueError from there on."""
+    if n < 2:
+        return False
+    for q in _MR_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise ValueError(f"no deterministic primality test is known for n >= {_MR_LIMIT}")
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+    d = (n - 1) >> r
+    for a in _MR_BASES_64 if n < 1 << 64 else _MR_PRIMES:
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def check_enumerable(p: int) -> None:
-    """ValueError above MAX_ENUM_PRIME; CompositeModulus unless p is prime,
-    since inv_table (Fermat's x^(p-2)) and qr_table are right only mod a prime."""
+    """ValueError unless p is an integer at most MAX_ENUM_PRIME; CompositeModulus
+    unless p is prime, since inv_table (Fermat's x^(p-2)) and qr_table are
+    right only mod a prime."""
+    if isinstance(p, bool) or not isinstance(p, Integral):
+        raise ValueError(f"modulus must be an integer, got {p!r}")
     if p > MAX_ENUM_PRIME:
         raise ValueError(
             f"p = {p} is too large for array enumeration (limit {MAX_ENUM_PRIME})"
         )
-    if not _is_prime_enumerable(p):
+    if not is_prime(p):
         raise CompositeModulus(f"{p} is not prime")
-
-
-def _is_prime_enumerable(n: int) -> bool:
-    """Miller-Rabin to the bases 2, 3, 5 and 7: exact below 3,215,031,751,
-    so for every n <= MAX_ENUM_PRIME.  Written here, not taken from
-    modarith, so that the oracles import nothing of the closed-form layers."""
-    if n < 11:
-        return n in (2, 3, 5, 7)
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, (n - 1) >> s, n)
-        if x == 1:
-            continue
-        for _ in range(s):
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
 
 
 def per_prime(build):
@@ -66,7 +86,8 @@ def per_prime(build):
     The returned function checks p with check_enumerable, builds the table,
     marks it read-only, and keeps the tables of the last TABLE_PRIMES primes.
     It is the cache wrapper itself, with cache_info, cache_clear and
-    cache_parameters.
+    cache_parameters; keys are typed, so 7.0 is checked (and refused) even
+    after 7 is cached.
     """
 
     @functools.wraps(build)
@@ -76,7 +97,7 @@ def per_prime(build):
         out.flags.writeable = False
         return out
 
-    return functools.lru_cache(maxsize=TABLE_PRIMES)(table)
+    return functools.lru_cache(maxsize=TABLE_PRIMES, typed=True)(table)
 
 
 @per_prime

@@ -246,6 +246,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes the -3/5 of "--a -3/5" for an option, but parses "--a=-3/5"
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--a" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = ["--a=" + argv[i]]
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -55,7 +55,8 @@ def is_cubic_residue(a: int, p: int) -> bool:
 
 
 def k_map(x: int, p: int) -> int:
-    """(x^3 - 9x) / (3x^2 - 3) mod p; undefined at x^2 = 1."""
+    """(x^3 - 9x) / (3x^2 - 3) mod a checked prime p; undefined at x^2 = 1."""
+    p = checked_prime(p)
     x %= p
     den = (3 * x * x - 3) % p
     if den == 0:
@@ -64,7 +65,8 @@ def k_map(x: int, p: int) -> int:
 
 
 def t_map(x: int, p: int) -> int:
-    """(x^2 + 3)^3 / (x^2 - 1)^2 mod p; undefined at x^2 = 1."""
+    """(x^2 + 3)^3 / (x^2 - 1)^2 mod a checked prime p; undefined at x^2 = 1."""
+    p = checked_prime(p)
     x %= p
     d = (x * x - 1) % p
     if d == 0:

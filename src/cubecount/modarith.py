@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
 
+from ._tables import is_prime
 from .errors import CompositeModulus, ZeroArgument, ZeroInverse
 
 __all__ = [
@@ -34,41 +35,6 @@ __all__ = [
 #: product of two reduced residues stays comfortably inside exact integer
 #: range on any backend.
 MAX_PRIME = 1 << 62
-
-# Sinclair's seven Miller-Rabin bases decide every n < 2**64 (a base that
-# is 0 mod n is skipped).  The first twelve primes are fooled by
-# 318665857834031151167461 = 399165290221 * 798330580441; the first 13
-# decide every n < _MR_LIMIT (Sorenson & Webster, Math. Comp. 2017).
-_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin after trial division by the primes to 41:
-    exact below _MR_LIMIT (3.3e24), a ValueError from there on."""
-    if n < 2:
-        return False
-    for q in _MR_PRIMES:
-        if n % q == 0:
-            return n == q
-    if n >= _MR_LIMIT:
-        raise ValueError(f"no deterministic primality test is known for n >= {_MR_LIMIT}")
-    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
-    d = (n - 1) >> r
-    for a in _MR_BASES_64 if n < 1 << 64 else _MR_PRIMES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 class Prime(int):

@@ -68,13 +68,14 @@ class QuadRep:
 
 @dataclass(frozen=True)
 class EisRep:
-    """4p = L^2 + 27M^2 with L = 1 (mod 3) and M > 0."""
+    """4p = L^2 + 27M^2 with L = 1 (mod 3) and M > 0, for a prime p."""
 
     L: int
     M: int
     p: int
 
     def __post_init__(self):
+        checked_prime(self.p)
         if self.L * self.L + 27 * self.M * self.M != 4 * self.p:
             raise InternalInconsistency(
                 f"L^2 + 27M^2 = {self.L * self.L + 27 * self.M * self.M} != {4 * self.p}"

@@ -17,9 +17,8 @@ from __future__ import annotations
 import os
 import random
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import partial
 from math import isqrt
 
 from .closedform import (
@@ -208,37 +207,19 @@ CHECKS = {
 }
 
 
-def _run_chunk(args) -> tuple[int, list[dict]]:
-    ps, names = args
-    pairs = 0
-    bad: list[dict] = []
-    for p in ps:
-        for name in names:
-            n, rows = CHECKS[name](p)
-            pairs += n
-            bad.extend(rows)
-    return pairs, bad
-
-
-def _chunk_bounds(ps: list[int], n_chunks: int) -> list[int]:
-    """Cut points splitting ps into n_chunks runs of about equal sum of p^2.
-
-    The family table costs O(p^2) per prime, so equal prime counts would
-    leave the top of the range in the last chunk.
-    """
-    cum = list(accumulate(p * p for p in ps))
-    total = cum[-1] if cum else 0
-    cuts = [bisect_left(cum, total * i / n_chunks) + 1 for i in range(1, n_chunks)]
-    return [0, *cuts, len(ps)]
+def _check_prime(names: list[str], p: int) -> tuple[int, list[dict]]:
+    """(pairs tested, mismatch rows) of the named checks at one prime."""
+    done = [CHECKS[name](p) for name in names]
+    return sum(n for n, _ in done), [row for _, rows in done for row in rows]
 
 
 def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     """Run the selected checks over every prime 3 < p <= max_p.
 
-    The prime list is split into contiguous chunks of about equal cost;
-    workers are stateless and results are merged back in ascending order,
-    so the report is identical for any job count.  At most os.cpu_count()
-    worker processes are started; config["jobs"] records the number used.
+    Each prime is one task; workers are stateless and results are merged
+    back in ascending order, so the report is identical for any job count.
+    At most os.cpu_count() worker processes are started; config["jobs"]
+    records the number used.
     """
     t0 = time.perf_counter()
     names = list(CHECKS) if checks is None else list(checks)
@@ -251,17 +232,15 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     if jobs is None or jobs < 1:
         jobs = 1
     jobs = min(jobs, os.cpu_count() or 1, max(1, len(ps)))
-    # A few chunks per worker keeps the heavy top-of-range primes balanced.
-    n_chunks = min(len(ps), 4 * jobs) or 1
-    bounds = _chunk_bounds(ps, n_chunks)
-    work = [(ps[lo:hi], names) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    check = partial(_check_prime, names)
     if jobs == 1:
-        parts = [_run_chunk(w) for w in work]
+        parts = list(map(check, ps))
     else:
         from multiprocessing import Pool
 
         with Pool(jobs) as pool:
-            parts = pool.map(_run_chunk, work)
+            # chunksize=1: the default would batch the heaviest primes together
+            parts = pool.map(check, ps, chunksize=1)
     pairs = sum(n for n, _ in parts)
     mism = [row for _, rows in parts for row in rows]
     return SweepReport(

@@ -39,6 +39,16 @@ def test_eval_rational_parameter(capsys):
     assert rec["v_closed"] == 6
 
 
+@pytest.mark.parametrize("command", ["eval", "classify"])
+@pytest.mark.parametrize("a_args", [("--a", "-3/5"), ("--a=-3/5",)], ids=" ".join)
+def test_negative_rational_parameter(capsys, command, a_args):
+    # argparse alone reads "-3/5", which is no plain negative number, as a flag
+    code, out, err = run_cli(capsys, command, *a_args, "--p", "1489")
+    assert code == 0, err
+    rec = json.loads(out)
+    assert rec["a_reduced" if command == "eval" else "a"] == -3 * pow(5, -1, 1489) % 1489
+
+
 def test_eval_2mod3_prime(capsys):
     code, out, _ = run_cli(capsys, "eval", "--p", "11", "--a", "9")
     rec = json.loads(out)

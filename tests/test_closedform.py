@@ -19,7 +19,7 @@ from cubecount.closedform import (
     vp_cor24,
     vp_half_x2,
 )
-from cubecount.cubicres import CubicClass, cubic_class, is_cubic_residue
+from cubecount.cubicres import CubicClass, cubic_class, is_cubic_residue, k_map, t_map
 from cubecount.errors import (
     CompositeModulus,
     MissingRep,
@@ -235,6 +235,8 @@ def test_composite_moduli_raise_promptly():
                 lambda: represent_a3b(n),
                 lambda: represent_l27m(n),
                 lambda: is_cubic_residue(2, n),
+                lambda: t_map(2, n),
+                lambda: k_map(2, n),
             ):
                 with pytest.raises(CompositeModulus, match="is not prime"):
                     call()

@@ -327,6 +327,18 @@ def test_enumeration_refuses_composite_moduli(n):
                 call()
 
 
+@pytest.mark.parametrize("p", [7.0, 13.0])
+def test_enumeration_refuses_non_integer_moduli(p):
+    # refused by type, not by value: family_counts(7) is cached, and the
+    # cache must not answer for 7.0
+    family_counts(7)
+    with pytest.raises(ValueError, match="must be an integer"):
+        _tables.check_enumerable(p)
+    for call in enumerating_calls(p).values():
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+
 def test_check_enumerable_accepts_exactly_the_primes():
     flags = sieve_upto(100_000)
     bad = []

@@ -55,6 +55,8 @@ def test_normalisation_enforced():
         EisRep(5, 1, 13)  # L = 2 (mod 3)
     with pytest.raises(InternalInconsistency):
         EisRep(1, 2, 13)  # equation fails
+    with pytest.raises(CompositeModulus):
+        EisRep(13, 1, 49)  # normalised, but 49 = 7^2
 
 
 def test_matches_exhaustive_search():

@@ -1,10 +1,12 @@
 """Sweep harness: registry, report shape, and parallel determinism."""
 
+import multiprocessing
 import os
 
 import pytest
 
-from cubecount.sweep import CHECKS, SweepReport, _chunk_bounds, primes_between, run_sweep
+from cubecount import sweep
+from cubecount.sweep import CHECKS, SweepReport, primes_between, run_sweep
 
 
 def test_registry_names():
@@ -75,10 +77,22 @@ def test_run_sweep_caps_jobs_at_cpu_count(monkeypatch):
     assert run_sweep(13, jobs=1000).config["jobs"] == 1
 
 
-def test_chunks_are_contiguous_and_of_equal_cost():
-    ps = primes_between(5, 1200)
-    bounds = _chunk_bounds(ps, 8)
-    assert bounds[0] == 0 and bounds[-1] == len(ps) and bounds == sorted(bounds)
-    costs = [sum(p * p for p in ps[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    assert max(costs) <= sum(costs) / 8 + max(ps) ** 2
-    assert _chunk_bounds([], 1) == [0, 0]
+def flag_1mod4(p):
+    """A planted check that fails at every p = 1 (mod 4)."""
+    return 1, [sweep._row("planted", p, 1, 0, 1)] if p % 4 == 1 else []
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_all_start_methods()[0] != "fork",
+    reason="a check planted in this process reaches only forked workers",
+)
+def test_mismatch_rows_merge_in_ascending_p(monkeypatch):
+    monkeypatch.setitem(CHECKS, "planted", flag_1mod4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = run_sweep(200, ["planted", "lemma22"], jobs=1)
+    parallel = run_sweep(200, ["planted", "lemma22"], jobs=2)
+    assert parallel.config["jobs"] == 2
+    want = [p for p in primes_between(5, 200) if p % 4 == 1]
+    assert [row["p"] for row in serial.mismatches] == want
+    assert parallel.mismatches == serial.mismatches
+    assert parallel.pairs_checked == serial.pairs_checked
