@@ -66,12 +66,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_int(name: str, value) -> None:
+    """ValueError unless value is an integer; a bool is not one."""
+    if type(value) is int:  # the common case, without the ABC check
+        return
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_enumerable(p: int) -> None:
     """ValueError unless p is an integer at most MAX_ENUM_PRIME; CompositeModulus
-    unless p is prime, since inv_table (Fermat's x^(p-2)) and qr_table are
-    right only mod a prime."""
-    if isinstance(p, bool) or not isinstance(p, Integral):
-        raise ValueError(f"modulus must be an integer, got {p!r}")
+    unless p is prime, since inv_table (built from a primitive root) and
+    qr_table are right only mod a prime."""
+    check_int("modulus", p)
     if p > MAX_ENUM_PRIME:
         raise ValueError(
             f"p = {p} is too large for array enumeration (limit {MAX_ENUM_PRIME})"
@@ -100,24 +107,56 @@ def per_prime(build):
     return functools.lru_cache(maxsize=TABLE_PRIMES, typed=True)(table)
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def primitive_root(p: int) -> int:
+    """The least generator of the units mod the prime p: the least g with
+    g^((p-1)/q) != 1 for every prime q dividing p - 1."""
+    qs = _prime_factors(p - 1)
+    g = 1
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs):
+        g += 1
+    return g
+
+
 @per_prime
 def inv_table(p: int) -> np.ndarray:
     """inv_table(p)[x] = x^(-1) mod p for x in [1, p); slot 0 holds 0.
 
-    Computed as x^(p-2) by a vectorised square-and-multiply ladder,
-    O(p log p) element operations.
+    O(p): the powers pw[k] = g^k of a primitive root g are filled by
+    doubling, pw[n:2n] = pw[:n] * g^n, and since g^(-k) = g^(p-1-k) the
+    inverses are one scatter, inv[pw[k]] = pw[p-1-k].  The power table is
+    a temporary of the build, not cached.
     """
     import numpy as np
 
-    acc = np.ones(p, dtype=np.int64)
-    base = np.arange(p, dtype=np.int64)
-    e = p - 2
-    while e:
-        if e & 1:
-            acc = acc * base % p
-        base = base * base % p
-        e >>= 1
-    return acc
+    g = primitive_root(p)
+    pw = np.empty(p - 1, dtype=np.int64)
+    pw[0] = 1
+    n = 1
+    while n < p - 1:
+        m = min(n, p - 1 - n)
+        block = pw[n : n + m]
+        np.multiply(pw[:m], pow(g, n, p), out=block)
+        block %= p
+        n += m
+    inv = np.zeros(p, dtype=np.int64)
+    inv[1] = 1
+    inv[pw[1:]] = pw[:0:-1]
+    return inv
 
 
 @per_prime

@@ -119,6 +119,8 @@ def count_t_preimages(t: int, p: int) -> int:
     The count is 0 or 3 for t != 27, and exactly 2 for t = 27 (mod p).
     t = 0 is outside the map's image and rejected.
     """
+    _tables.check_enumerable(p)
+    _tables.check_int("t", t)
     t %= p
     if t == 0:
         raise ZeroArgument("t = 0 is not in the image of t_map")

@@ -49,9 +49,9 @@ class Domain(Enum):
 class RationalMap:
     """A rational function given by coefficient tuples, ascending powers.
 
-    Coefficients are arbitrary ints (reduced mod p at evaluation time);
-    leading zeros are permitted and evaluation is plain Horner on the lists
-    as given.
+    Coefficients are arbitrary ints (reduced mod p at evaluation time), and
+    anything else is a ValueError; leading zeros are permitted and
+    evaluation is plain Horner on the lists as given.
     """
 
     numerator: tuple[int, ...]
@@ -62,6 +62,8 @@ class RationalMap:
         object.__setattr__(self, "denominator", tuple(self.denominator))
         if not self.numerator or not self.denominator:
             raise ValueError("coefficient tuples must be non-empty")
+        for c in self.numerator + self.denominator:
+            _tables.check_int("coefficient", c)
 
     @classmethod
     def from_poly(cls, coeffs) -> "RationalMap":
@@ -96,34 +98,48 @@ def _eval_poly(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
 
     acc = np.full(xs.shape, coeffs[-1] % p, dtype=np.int64)
     for c in coeffs[-2::-1]:
-        acc = (acc * xs + c % p) % p
+        acc *= xs
+        acc += c % p
+        acc %= p
     return acc
+
+
+#: Points x that vp_brute evaluates at a time.  A block holds four int64
+#: arrays of this length (x, numerator, denominator, value), 512 KiB, next
+#: to the p-byte bitmap of attained values.
+BRUTE_BLOCK = 1 << 14
 
 
 def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) -> CountResult:
     """Count distinct values of f over the domain, by enumeration.
 
     Denominator zeros are skipped; if every point is one, EmptyDomain is
-    raised.  O(p) time and memory.  The modulus is capped where int64
+    raised.  O(p) time; p bytes plus one block of BRUTE_BLOCK points, on
+    top of the cached inverse table.  The modulus is capped where int64
     products stop being exact (~3.0e9); enumeration is impractical long
     before that.
     """
     import numpy as np
 
     _tables.check_enumerable(p)
-    xs = np.arange(0 if domain is Domain.ALL else 1, p, dtype=np.int64)
-    num = _eval_poly(f.numerator, xs, p)
-    den = _eval_poly(f.denominator, xs, p)
-    ok = den != 0
-    if not ok.all():
-        if not ok.any():
-            raise EmptyDomain(f"denominator vanishes on the whole domain mod {p}")
-        num = num[ok]
-        den = den[ok]
-    vals = num * _tables.inv_table(p)[den] % p
+    inv = _tables.inv_table(p)
     seen = np.zeros(p, dtype=bool)
-    seen[vals] = True
+    for lo in range(0 if domain is Domain.ALL else 1, p, BRUTE_BLOCK):
+        xs = np.arange(lo, min(lo + BRUTE_BLOCK, p), dtype=np.int64)
+        num = _eval_poly(f.numerator, xs, p)
+        den = _eval_poly(f.denominator, xs, p)
+        ok = den != 0
+        if not ok.all():
+            num = num[ok]
+            den = den[ok]
+        vals = inv[den]
+        vals *= num
+        vals %= p
+        seen[vals] = True
+    # every point off the denominator's zeros marks one value
     v = int(np.count_nonzero(seen))
+    if v == 0:
+        raise EmptyDomain(f"denominator vanishes on the whole domain mod {p}")
     return CountResult(v, seen if want_bitmap else None)
 
 
@@ -185,6 +201,8 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     import numpy as np
 
     _tables.check_enumerable(p)
+    for c in (a1, a2, a3):
+        _tables.check_int("coefficient", c)
     vals = _eval_poly((a3, a2, a1, 1), np.arange(p, dtype=np.int64), p)
     return int(np.count_nonzero(vals == 0))
 
@@ -196,6 +214,8 @@ def jacobsthal_brute(m: int, p: int) -> int:
     -1 for every nonzero m when p = 2 (mod 3), and is bounded by
     2*sqrt(p) + 1 in absolute value.
     """
+    _tables.check_enumerable(p)
+    _tables.check_int("m", m)
     m %= p
     if m == 0:
         raise ZeroArgument("m must be nonzero mod p")

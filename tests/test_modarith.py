@@ -100,6 +100,30 @@ def test_sqrt_mod_exhaustive_small():
                 assert r <= p - r  # canonical representative
 
 
+def test_sqrt_mod_matches_sympy():
+    # random primes from 7 up to 62 bits (sqrt_mod takes p > 3), and primes
+    # p = 1 (mod 2^s) for large s, where Tonelli-Shanks runs its longest
+    # two-adic loop
+    ntheory = pytest.importorskip("sympy.ntheory")
+    rng = random.Random(20261019)
+    bits = [rng.randint(4, 62) for _ in range(300)]
+    primes = [ntheory.prevprime(rng.randrange(1 << (b - 1), 1 << b)) for b in bits]
+    primes += [65537, 998244353, 4179340454199820289]
+    residues = nonresidues = 0
+    for p in primes:
+        for a in [0, 1, p - 1] + [rng.randrange(p) for _ in range(4)]:
+            want = ntheory.residue_ntheory.sqrt_mod(a, p)
+            got = sqrt_mod(a, p)
+            if want is None:
+                assert got is None, (a, p)
+                nonresidues += 1
+            else:
+                assert got is not None and got * got % p == a, (a, p)
+                assert got in (want, (p - want) % p)
+                residues += 1
+    assert residues > 300 and nonresidues > 300
+
+
 def test_sqrt_mod_composite_modulus_raises_promptly():
     # 1729 = 7 * 13 * 19 is a Carmichael number: 1726 passes the Euler test
     # and no z in [2, 1729) is a non-residue by it, so an unbounded search

@@ -2,8 +2,10 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from cubecount.cubicres import count_t_preimages, h_set, in_c0, t_preimage_count
 from cubecount.errors import CompositeModulus, EmptyDomain, InternalInconsistency, ZeroArgument
 from cubecount.modarith import inv_mod, legendre
 from cubecount.oracle import (
+    BRUTE_BLOCK,
     FAMILY_BLOCK_BYTES,
     Domain,
     RationalMap,
@@ -24,7 +27,7 @@ from cubecount.oracle import (
     np_cubic_roots,
     vp_brute,
 )
-from helpers import cubes_mod, primes_1mod3, primes_upto, sieve_upto, time_limit
+from helpers import cubes_mod, primes_1mod3, primes_upto, sieve_upto, time_limit, trial_factor
 
 
 def test_rational_map_constructors():
@@ -78,6 +81,116 @@ def test_vp_brute_empty_domain_and_cap():
         vp_brute(RationalMap((1,), (0,)), 7, Domain.ALL)
     with pytest.raises(ValueError):
         vp_brute(RationalMap((0, 1), (1,)), 3_100_000_000, Domain.ALL)
+
+
+def test_inv_table_inverts_every_unit():
+    for p in primes_upto(2000):
+        inv = _tables.inv_table(p)
+        assert inv[0] == 0
+        assert inv[1:].tolist() == [pow(x, -1, p) for x in range(1, p)], p
+
+
+def test_inv_table_at_a_large_prime():
+    p = 1_000_003
+    inv = _tables.inv_table(p)
+    assert inv.shape == (p,) and not inv.flags.writeable
+    assert _tables.inv_table(p) is inv
+    assert _tables.inv_table.cache_parameters()["maxsize"] == _tables.TABLE_PRIMES
+    rng = random.Random(9)
+    for x in [1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(5_000)]:
+        assert inv[x] == pow(x, -1, p)
+
+
+def multiplicative_order(g: int, p: int) -> int:
+    k, y = 1, g % p
+    while y != 1:
+        y = y * g % p
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p", [65_537, 200_087])
+def test_primitive_root_is_the_least_generator(p):
+    # 65537 - 1 = 2^16; 200087 - 1 = 2 * 100043 has a large prime cofactor
+    if p == 200_087:
+        assert trial_factor((p - 1) // 2) is None
+    g = _tables.primitive_root(p)
+    assert multiplicative_order(g, p) == p - 1
+    assert all(multiplicative_order(h, p) < p - 1 for h in range(1, g))
+
+
+def python_values(f: RationalMap, p: int, domain: Domain) -> set[int]:
+    """The values of f over the domain, by scalar Horner and pow(., -1, p)."""
+
+    def horner(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        return acc
+
+    xs = range(0 if domain is Domain.ALL else 1, p)
+    dens = ((x, horner(f.denominator, x)) for x in xs)
+    return {horner(f.numerator, x) * pow(d, -1, p) % p for x, d in dens if d}
+
+
+#: The first primes above one and two blocks of vp_brute.
+BLOCK_PRIMES = tuple(
+    next(q for q in primes_upto(k * BRUTE_BLOCK + 1000) if q > k * BRUTE_BLOCK) for k in (1, 2)
+)
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+def test_blocked_vp_brute_matches_python_values(p):
+    # both domains end on a partial block; 1/(x - c) has its pole in the
+    # last block
+    maps = (
+        RationalMap.x2_plus_a_over_x(5),
+        RationalMap.cubic(1, 2, 3),
+        RationalMap.x_plus_a_over_2x2(7),
+        RationalMap((1,), (-(p - 3), 1)),
+    )
+    for f in maps:
+        for domain in Domain:
+            want = python_values(f, p, domain)
+            got = vp_brute(f, p, domain, want_bitmap=True)
+            assert got.v == len(want)
+            assert np.flatnonzero(got.attained).tolist() == sorted(want)
+    for domain in Domain:
+        with pytest.raises(EmptyDomain):
+            vp_brute(RationalMap((1,), (p,)), p, domain)
+
+
+def test_vp_brute_memory_is_the_bitmap_plus_one_block():
+    p = 1_000_003
+    f = RationalMap.x2_plus_a_over_x(5)
+    _tables.inv_table(p)  # the cached table is not the count's memory
+    tracemalloc.start()
+    try:
+        vp_brute(f, p, Domain.NONZERO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * p
+
+
+def test_oracle_arguments_must_be_integers():
+    for call in (
+        lambda: jacobsthal_brute(2.5, 7),
+        lambda: jacobsthal_brute(True, 7),
+        lambda: np_cubic_roots(0.5, 0, 0, 7),
+        lambda: np_cubic_roots(0, False, 0, 7),
+        lambda: count_t_preimages(2.5, 13),
+        lambda: RationalMap((1.5, 0, 0, 1), (0, 1)),
+        lambda: RationalMap((1, 0, 0, 1), (0, "1")),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+    # the modulus is checked before the argument is reduced by it
+    for call in (lambda: jacobsthal_brute(1, True), lambda: count_t_preimages(1, True)):
+        with pytest.raises(ValueError, match="modulus must be an integer"):
+            call()
+    assert jacobsthal_brute(np.int64(1), 7) == 3
+    assert np_cubic_roots(np.int64(0), 0, 0, 7) == 1
 
 
 def test_discriminant_examples_and_exactness():
