@@ -1,14 +1,16 @@
-"""The per-prime memo for O(p) tables, and the tables shared by the oracles.
+"""The per-prime memo for the O(p) tables that are read again.
 
 Products of two residues must stay exact in int64, which caps the
 enumerable modulus at isqrt(2**63), and the tables hold only mod a prime;
 every enumerating entry point checks both with check_enumerable before it
 allocates anything.  per_prime is the one cache policy for the O(p)
 tables: p checked, table built, marked read-only, and kept for the last
-TABLE_PRIMES primes.  is_prime, the package's one primality test, lives
-here so that the oracles and modarith can both import it.  numpy is
-imported on first use, inside the table builders, so importing the
-package costs no numpy import until a table is built.
+TABLE_PRIMES primes.  It holds three: inv_table here (every vp_brute and
+two builders read it), oracle.family_counts (four sweep checks) and
+cubicres.t_preimage_counts (one lookup per t).  is_prime, the package's
+one primality test, lives here so that the oracles and modarith can both
+import it.  numpy is imported on first use, inside the table builders, so
+importing the package costs no numpy import until a table is built.
 """
 
 from __future__ import annotations
@@ -74,33 +76,35 @@ def check_int(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def check_enumerable(p: int) -> None:
-    """ValueError unless p is an integer at most MAX_ENUM_PRIME; CompositeModulus
-    unless p is prime, since inv_table (built from a primitive root) and
-    qr_table are right only mod a prime."""
+def check_enumerable(p) -> int:
+    """p as an int, so that a numpy integer works like a plain one: a
+    ValueError unless p is an integer at most MAX_ENUM_PRIME, CompositeModulus
+    unless it is prime, since the inverses (from a primitive root) and the
+    oracles' Legendre symbols are right only mod a prime."""
     check_int("modulus", p)
+    p = int(p)
     if p > MAX_ENUM_PRIME:
         raise ValueError(
             f"p = {p} is too large for array enumeration (limit {MAX_ENUM_PRIME})"
         )
     if not is_prime(p):
         raise CompositeModulus(f"{p} is not prime")
+    return p
 
 
 def per_prime(build):
     """Memoise an O(p) table builder: build(p) -> read-only ndarray.
 
-    The returned function checks p with check_enumerable, builds the table,
-    marks it read-only, and keeps the tables of the last TABLE_PRIMES primes.
-    It is the cache wrapper itself, with cache_info, cache_clear and
-    cache_parameters; keys are typed, so 7.0 is checked (and refused) even
-    after 7 is cached.
+    The returned function checks p with check_enumerable, builds the table
+    from the int that returns, marks it read-only, and keeps the tables of
+    the last TABLE_PRIMES primes.  It is the cache wrapper itself, with
+    cache_info, cache_clear and cache_parameters; keys are typed, so 7.0 is
+    checked (and refused) even after 7 is cached.
     """
 
     @functools.wraps(build)
     def table(p: int) -> np.ndarray:
-        check_enumerable(p)
-        out = build(p)
+        out = build(check_enumerable(p))
         out.flags.writeable = False
         return out
 
@@ -158,28 +162,3 @@ def inv_table(p: int) -> np.ndarray:
     inv[pw[1:]] = pw[:0:-1]
     return inv
 
-
-@per_prime
-def qr_table(p: int) -> np.ndarray:
-    """qr_table(p)[v] = Legendre symbol (v/p) as -1 / 0 / +1.
-
-    Built from the definition: v is marked +1 exactly when v is a nonzero
-    square mod p, which keeps this table independent of the Euler-criterion
-    scalar path.
-    """
-    import numpy as np
-
-    sq = np.arange(1, p, dtype=np.int64)
-    tab = np.full(p, -1, dtype=np.int64)
-    tab[0] = 0
-    tab[sq * sq % p] = 1
-    return tab
-
-
-@per_prime
-def cubes_nonzero(p: int) -> np.ndarray:
-    """y^3 mod p over y in [1, p)."""
-    import numpy as np
-
-    y = np.arange(1, p, dtype=np.int64)
-    return y * y % p * y % p

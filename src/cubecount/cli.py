@@ -25,8 +25,6 @@ from .sweep import CHECKS, run_sweep
 
 __all__ = ["main"]
 
-ENV_MAX_P = "CUBECOUNT_MAX_P"
-
 
 def _parse_p(text: str) -> Prime:
     try:
@@ -114,9 +112,6 @@ def cmd_classify(args) -> int:
 
 def cmd_sweep(args) -> int:
     max_p = args.max_p
-    cap = os.environ.get(ENV_MAX_P)
-    if cap is not None:
-        max_p = min(max_p, int(cap))
     if max_p < 5:
         raise ValueError(f"--max-p {max_p}: no primes above 3 in range")
     if args.checks is None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._tables import check_int
 from .errors import (
     InternalInconsistency,
     MissingRep,
@@ -25,7 +26,6 @@ from .errors import (
     WrongResidueClass,
 )
 from .modarith import _nonzero_residue, checked_prime, inv_mod
-from .oracle import jacobsthal_all
 from .quadform import (
     CubicClass,
     QuadRep,
@@ -48,8 +48,8 @@ __all__ = [
     "von_sterneck_value",
     "vp_2a",
     "vp_closed",
-    "vp_closed_via_26",
     "vp_cor24",
+    "vp_from_jacobsthal",
     "vp_half_x2",
 ]
 
@@ -81,6 +81,7 @@ def _div3(num: int) -> int:
 
 def chi3(n: int) -> int:
     """The character (n/3): +1 for n = 1 (mod 3), -1 for n = 2 (mod 3)."""
+    check_int("n", n)
     r = n % 3
     if r == 0:
         raise WrongResidueClass(f"{n} is divisible by 3")
@@ -108,23 +109,20 @@ def vp_closed(a, p: int) -> VpBreakdown:
     return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
 
 
-def vp_closed_via_26(a, p: int) -> int:
-    """The same count through the character-sum route, for cross-checking.
+def vp_from_jacobsthal(phi: int, p: int) -> int:
+    """The count of x^2 + a/x from Phi, the Jacobsthal sum at 2a^2.
 
-    With x3 = chi3(p) and Phi the Jacobsthal sum at 2a^2,
+    The character-sum route, for cross-checking vp_closed: with x3 = chi3(p),
 
         6 V = 4(p - x3) + (x3 - 1) + (1 - 3 x3) Phi,
 
-    and the right side is divisible by 6 exactly.  Phi is read from the
-    correlation vector jacobsthal_all(p), cached per prime, so a loop over
-    every a costs one O(p log p) correlation rather than O(p) per a.
+    and the right side is divisible by 6 exactly.  Since a is a unit,
+    (2a^2/p) = (2/p), so Phi needs no extra factor.
     """
     p = checked_prime(p)
-    a = _nonzero_residue(a, p)
+    check_int("phi", phi)
     x3 = chi3(p)
-    # (2a^2/p) = (2/p) since a is a unit, so the sum needs no extra factor.
-    phi = int(jacobsthal_all(p)[2 * a * a % p])
-    v6 = 4 * (p - x3) + (x3 - 1) + (1 - 3 * x3) * phi
+    v6 = 4 * (p - x3) + (x3 - 1) + (1 - 3 * x3) * int(phi)
     q, r = divmod(v6, 6)
     if r:
         raise NonIntegerResult(f"{v6} is not divisible by 6")
@@ -188,6 +186,7 @@ def a_from_count(p: int, v2: int) -> int:
     """Invert the count of x^2 + 2/x: A = (3 v2 + 1)/2 - p."""
     p = checked_prime(p)
     _require_1mod3(p)
+    check_int("v2", v2)
     t = 3 * v2 + 1
     if t % 2:
         raise NonIntegerResult(f"(3*{v2} + 1)/2 is not an integer")
@@ -198,6 +197,7 @@ def l_from_count(p: int, v1: int) -> int:
     """Invert the count of x^2 + 1/x: L = 2p - 1 - 3 v1."""
     p = checked_prime(p)
     _require_1mod3(p)
+    check_int("v1", v1)
     return 2 * p - 1 - 3 * v1
 
 
@@ -250,6 +250,8 @@ def binom_mod(n: int, k: int, p: int) -> int:
     against k! in the denominator, both mod p.
     """
     p = checked_prime(p)
+    check_int("n", n)
+    check_int("k", k)
     if k < 0 or k > n:
         return 0
     num = den = 1

@@ -57,7 +57,8 @@ def is_cubic_residue(a: int, p: int) -> bool:
 def k_map(x: int, p: int) -> int:
     """(x^3 - 9x) / (3x^2 - 3) mod a checked prime p; undefined at x^2 = 1."""
     p = checked_prime(p)
-    x %= p
+    _tables.check_int("x", x)
+    x = int(x) % p
     den = (3 * x * x - 3) % p
     if den == 0:
         raise SingularPoint(f"k_map undefined at x = {x} (x^2 = 1 mod {p})")
@@ -67,7 +68,8 @@ def k_map(x: int, p: int) -> int:
 def t_map(x: int, p: int) -> int:
     """(x^2 + 3)^3 / (x^2 - 1)^2 mod a checked prime p; undefined at x^2 = 1."""
     p = checked_prime(p)
-    x %= p
+    _tables.check_int("x", x)
+    x = int(x) % p
     d = (x * x - 1) % p
     if d == 0:
         raise SingularPoint(f"t_map undefined at x = {x} (x^2 = 1 mod {p})")
@@ -83,7 +85,7 @@ def h_set(p: int) -> np.ndarray:
     """
     import numpy as np
 
-    _tables.check_enumerable(p)
+    p = _tables.check_enumerable(p)
     half = (p - 1) // 2
     xs = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.arange(2, half + 1, dtype=np.int64)]
@@ -119,7 +121,7 @@ def count_t_preimages(t: int, p: int) -> int:
     The count is 0 or 3 for t != 27, and exactly 2 for t = 27 (mod p).
     t = 0 is outside the map's image and rejected.
     """
-    _tables.check_enumerable(p)
+    p = _tables.check_enumerable(p)
     _tables.check_int("t", t)
     t %= p
     if t == 0:
@@ -134,6 +136,7 @@ def in_c0(k, p: int) -> bool:
     is decided by whether t = 9(k^2 + 3) has a t_map preimage.  Values with
     k^2 = -3 (mod p) sit outside the test's domain.
     """
+    p = _tables.check_enumerable(p)
     k = as_residue(k, p)
     if (k * k + 3) % p == 0:
         raise BadK(f"k = {k} has k^2 = -3 (mod {p})")

@@ -8,9 +8,10 @@ the functions that build arrays, so the closed-form layers never load it.
 
 Two batched kernels answer a whole family at one prime: ``family_counts``
 enumerates x^2 + a/x for every a at once, and ``jacobsthal_all`` gets every
-Jacobsthal sum by correlating the cube histogram with the quadratic-residue
-table.  They only enumerate or correlate; like the per-parameter oracles,
-they never use cubic-class theory or a closed-form identity.
+Jacobsthal sum by correlating the cube histogram with the Legendre symbols.
+They only enumerate or correlate; like the per-parameter oracles, they
+never use cubic-class theory or a closed-form identity.  Only
+family_counts is cached per prime; nothing else here is read twice.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     """
     import numpy as np
 
-    _tables.check_enumerable(p)
+    p = _tables.check_enumerable(p)
     inv = _tables.inv_table(p)
     seen = np.zeros(p, dtype=bool)
     for lo in range(0 if domain is Domain.ALL else 1, p, BRUTE_BLOCK):
@@ -200,51 +201,66 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     """Number of distinct roots of x^3 + a1 x^2 + a2 x + a3 mod p (0..3)."""
     import numpy as np
 
-    _tables.check_enumerable(p)
+    p = _tables.check_enumerable(p)
     for c in (a1, a2, a3):
         _tables.check_int("coefficient", c)
     vals = _eval_poly((a3, a2, a1, 1), np.arange(p, dtype=np.int64), p)
     return int(np.count_nonzero(vals == 0))
 
 
+def _symbols_and_cubes(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Legendre symbols (v/p) over v in [0, p) as int8, +1 exactly on the
+    nonzero squares (the definition, not Euler's criterion), and y^3 mod p
+    over y in [1, p)."""
+    import numpy as np
+
+    y = np.arange(1, p, dtype=np.int64)
+    sq = y * y
+    sq %= p
+    symbols = np.full(p, -1, dtype=np.int8)
+    symbols[0] = 0
+    symbols[sq] = 1
+    sq *= y
+    sq %= p
+    return symbols, sq
+
+
 def jacobsthal_brute(m: int, p: int) -> int:
     """The cubic Jacobsthal sum (m/p) * sum_{y=1}^{p-1} ((y^3 + m)/p).
 
-    Straight from the definition via the quadratic-residue table.  Equals
-    -1 for every nonzero m when p = 2 (mod 3), and is bounded by
-    2*sqrt(p) + 1 in absolute value.
+    Straight from the definition via the Legendre symbols.  Equals -1 for
+    every nonzero m when p = 2 (mod 3), and is bounded by 2*sqrt(p) + 1 in
+    absolute value.
     """
-    _tables.check_enumerable(p)
+    p = _tables.check_enumerable(p)
     _tables.check_int("m", m)
     m %= p
     if m == 0:
         raise ZeroArgument("m must be nonzero mod p")
-    qr = _tables.qr_table(p)
-    vals = (_tables.cubes_nonzero(p) + m) % p
-    return int(qr[m]) * int(qr[vals].sum())
+    symbols, cubes = _symbols_and_cubes(p)
+    return int(symbols[m]) * int(symbols[(cubes + m) % p].sum())
 
 
-@_tables.per_prime
 def jacobsthal_all(p: int) -> np.ndarray:
     """J[m] = jacobsthal_brute(m, p) for every m in [0, p), with J[0] = 0.
 
     sum_y ((y^3 + m)/p) is the cyclic correlation, at shift m, of the
-    histogram of nonzero cubes with the quadratic-residue table; it is
-    taken by real FFT in O(p log p) and rounded.  Every exact sum is an
-    integer, so a float result further than 1/4 from one means the
-    transform lost precision, and InternalInconsistency is raised rather
-    than a rounded guess returned.  The read-only result is cached per
-    prime.
+    histogram of nonzero cubes with the Legendre symbols; it is taken by
+    real FFT in O(p log p) and rounded.  Every exact sum is an integer, so
+    a float result further than 1/4 from one means the transform lost
+    precision, and InternalInconsistency is raised rather than a rounded
+    guess returned.  Not cached: a caller keeps the vector it reads again.
     """
     import numpy as np
 
-    qr = _tables.qr_table(p)
-    hist = np.bincount(_tables.cubes_nonzero(p), minlength=p)
-    sums = np.fft.irfft(np.fft.rfft(hist).conj() * np.fft.rfft(qr), n=p)
+    p = _tables.check_enumerable(p)
+    symbols, cubes = _symbols_and_cubes(p)
+    hist = np.bincount(cubes, minlength=p)
+    sums = np.fft.irfft(np.fft.rfft(hist).conj() * np.fft.rfft(symbols), n=p)
     exact = np.rint(sums)
     err = float(np.abs(sums - exact).max())
     if err >= 0.25:
         raise InternalInconsistency(
             f"Jacobsthal correlation mod {p} is {err:.3f} from an integer"
         )
-    return qr * exact.astype(np.int64)
+    return symbols * exact.astype(np.int64)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import isqrt
 
+from ._tables import check_int
 from .closedform import (
     _cor24_value,
     a_from_count,
@@ -222,6 +223,7 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     records the number used.
     """
     t0 = time.perf_counter()
+    check_int("max_p", max_p)
     names = list(CHECKS) if checks is None else list(checks)
     if not names:
         raise ValueError(f"no checks selected (choose from {','.join(CHECKS)})")

@@ -235,11 +235,9 @@ def test_criterion_09_half_family_bridge():
 
 
 def test_criterion_10_sweep_determinism():
-    env = dict(os.environ)
-    env.pop("CUBECOUNT_MAX_P", None)
     cmd = [sys.executable, "-m", "cubecount", "sweep", "--max-p", "200"]
     runs = [
-        subprocess.run(cmd + ["--jobs", str(j)], capture_output=True, env=env)
+        subprocess.run(cmd + ["--jobs", str(j)], capture_output=True)
         for j in (1, 8)
     ]
     ok = (

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cubecount.cli import ENV_MAX_P, main
+from cubecount.cli import main
 from cubecount.oracle import CountResult
 
 
@@ -169,15 +169,6 @@ def test_sweep_output_independent_of_jobs(capsys):
     second = run_cli(capsys, "sweep", "--max-p", "150", "--jobs", "3")
     assert first[0] == second[0] == 0
     assert first[1] == second[1]
-
-
-def test_sweep_env_cap(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_MAX_P, "40")
-    code, out, _ = run_cli(
-        capsys, "sweep", "--max-p", "100", "--checks", "theorem21", "--jobs", "1"
-    )
-    assert code == 0
-    assert json.loads(out.strip().splitlines()[-1])["prime_range"] == [5, 40]
 
 
 def test_sweep_bad_usage_exit_2(capsys):

@@ -15,21 +15,23 @@ from cubecount.closedform import (
     von_sterneck_value,
     vp_2a,
     vp_closed,
-    vp_closed_via_26,
     vp_cor24,
+    vp_from_jacobsthal,
     vp_half_x2,
 )
-from cubecount.cubicres import CubicClass, cubic_class, is_cubic_residue, k_map, t_map
+from cubecount.cubicres import CubicClass, cubic_class, in_c0, is_cubic_residue, k_map, t_map
 from cubecount.errors import (
     CompositeModulus,
+    CubecountError,
     MissingRep,
     NonIntegerResult,
     WrongResidueClass,
     ZeroArgument,
 )
 from cubecount.modarith import Prime, inv_mod
-from cubecount.oracle import Domain, RationalMap, jacobsthal_brute, vp_brute
+from cubecount.oracle import Domain, RationalMap, jacobsthal_all, jacobsthal_brute, vp_brute
 from cubecount.quadform import represent_a3b, represent_l27m
+from cubecount.sweep import run_sweep
 from helpers import primes_1mod3, primes_upto, time_limit
 
 
@@ -73,10 +75,11 @@ def test_vp_closed_huge_prime():
 
 
 def test_character_route_agrees():
-    # slower cross-check route; the 3000 ceiling keeps it around ten seconds
+    # slower cross-check route: one Jacobsthal vector per prime, read at 2a^2
     for p in primes_upto(3000, start=5):
+        sums = jacobsthal_all(p).tolist()
         for a in range(1, p):
-            if vp_closed_via_26(a, p) != vp_closed(a, p).v:
+            if vp_from_jacobsthal(sums[2 * a * a % p], p) != vp_closed(a, p).v:
                 raise AssertionError(f"route mismatch at p={p}, a={a}")
 
 
@@ -229,7 +232,7 @@ def test_composite_moduli_raise_promptly():
                 lambda: vp_half_x2(2, n),
                 lambda: jacobsthal_closed(2, n, represent_a3b(7)),
                 lambda: jacobsthal_closed(2, n),
-                lambda: vp_closed_via_26(2, n),
+                lambda: vp_from_jacobsthal(-1, n),
                 lambda: vp_cor24(n),
                 lambda: jacobi_check(n),
                 lambda: represent_a3b(n),
@@ -256,6 +259,30 @@ def test_non_integral_parameters_raise():
         ):
             with pytest.raises(ValueError, match="must be an integer"):
                 call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: binom_mod(5.0, 2, 7), id="binom_mod-n"),
+        pytest.param(lambda: binom_mod(5, 2.0, 7), id="binom_mod-k"),
+        pytest.param(lambda: l_from_count(7, 1.5), id="l_from_count-float"),
+        pytest.param(lambda: l_from_count(7, True), id="l_from_count-bool"),
+        pytest.param(lambda: a_from_count(7, True), id="a_from_count-bool"),
+        pytest.param(lambda: chi3(1.5), id="chi3"),
+        pytest.param(lambda: k_map(1.5, 7), id="k_map"),
+        pytest.param(lambda: t_map(Fraction(1, 2), 7), id="t_map"),
+        pytest.param(lambda: in_c0(1, 0), id="in_c0-p0"),
+        pytest.param(lambda: run_sweep(13.5), id="run_sweep-float"),
+        pytest.param(lambda: run_sweep(True), id="run_sweep-bool"),
+        pytest.param(lambda: vp_from_jacobsthal(1.5, 7), id="vp_from_jacobsthal-float"),
+        pytest.param(lambda: vp_from_jacobsthal(True, 7), id="vp_from_jacobsthal-bool"),
+    ],
+)
+def test_scalar_arguments_are_checked(call):
+    # each is refused, never truncated, answered or left to a raw TypeError
+    with pytest.raises((ValueError, CubecountError)):
+        call()
 
 
 def test_prime_and_plain_int_moduli_agree():

@@ -124,6 +124,13 @@ def test_oracles_never_import_closed_form_theory():
         assert package_imports(module) <= {"_tables", "errors"}, module
 
 
+def test_closed_form_layers_never_import_the_oracle():
+    # The closed forms are checked against the oracle, so they may not read
+    # it, and the oracle's numpy stays off their path.
+    for module in ("closedform", "quadform", "cubicres", "modarith"):
+        assert "oracle" not in package_imports(module), module
+
+
 def test_package_imports_are_acyclic():
     graph = {p.stem: package_imports(p.stem) for p in PACKAGE.glob("*.py")}
     done: set[str] = set()

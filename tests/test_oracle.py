@@ -1,5 +1,6 @@
 """Brute-force enumeration oracles, checked against pure-python scans."""
 
+import ast
 import math
 import os
 import random
@@ -342,21 +343,43 @@ def test_batched_oracles_match_per_parameter_oracles():
 
 
 def test_jacobsthal_all_refuses_an_inexact_transform(monkeypatch):
-    jacobsthal_all.cache_clear()  # the vector of 13 may be cached already
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.4)
     with pytest.raises(InternalInconsistency):
         jacobsthal_all(13)
 
 
-PER_PRIME_TABLES = (
-    _tables.inv_table,
-    _tables.qr_table,
-    _tables.cubes_nonzero,
-    family_counts,
-    jacobsthal_all,
-    t_preimage_counts,
-)
+def test_jacobsthal_oracles_keep_nothing_allocated():
+    # the Legendre symbols and cubes are built per call, not cached: after
+    # both oracles less than one int8 table of p bytes stays allocated
+    p = 1_000_003
+    jacobsthal_all(13)  # numpy.fft is imported on first use and stays
+    tracemalloc.start()
+    try:
+        jacobsthal_brute(5, p)
+        jacobsthal_all(p)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < p
+
+
+#: The tables that callers read again, and so the only ones per_prime caches.
+PER_PRIME_TABLES = (_tables.inv_table, family_counts, t_preimage_counts)
+
+
+def test_per_prime_decorates_exactly_the_tables_read_again():
+    src = Path(__file__).resolve().parents[1] / "src" / "cubecount"
+    decorated = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                # @per_prime is an ast.Name, @_tables.per_prime an ast.Attribute
+                tags = {getattr(d, "id", getattr(d, "attr", None)) for d in node.decorator_list}
+                if "per_prime" in tags:
+                    decorated.add(node.name)
+    assert decorated == {t.__name__ for t in PER_PRIME_TABLES}
+    assert not hasattr(_tables, "qr_table") and not hasattr(_tables, "cubes_nonzero")
 
 
 @pytest.mark.parametrize("table", PER_PRIME_TABLES, ids=lambda t: t.__name__)
@@ -382,8 +405,6 @@ def enumerating_calls(p: int) -> dict:
         "count_t_preimages": lambda: count_t_preimages(1, p),
         "in_c0": lambda: in_c0(1, p),
         "inv_table": lambda: _tables.inv_table(p),
-        "qr_table": lambda: _tables.qr_table(p),
-        "cubes_nonzero": lambda: _tables.cubes_nonzero(p),
     }
 
 
@@ -425,7 +446,7 @@ def test_enumeration_cap_is_checked_before_allocating():
     )
     assert proc.returncode == 0, proc.stderr
     got = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
-    assert len(got) == 13 and set(got.values()) == {"ValueError"}, got
+    assert len(got) == 11 and set(got.values()) == {"ValueError"}, got
 
 
 @pytest.mark.parametrize("n", [35, 561, 1729, 25326001])
@@ -435,9 +456,21 @@ def test_enumeration_refuses_composite_moduli(n):
     # 1729 are Carmichael numbers; 25326001 is a strong pseudoprime to the
     # bases 2, 3 and 5.
     with time_limit(5):
-        for call in enumerating_calls(n).values():
-            with pytest.raises(CompositeModulus, match="is not prime"):
-                call()
+        for modulus in (n, np.int64(n)):
+            for call in enumerating_calls(modulus).values():
+                with pytest.raises(CompositeModulus, match="is not prime"):
+                    call()
+
+
+def test_enumeration_takes_numpy_integer_moduli():
+    # a numpy integer p is checked, then built from as a plain int
+    plain = enumerating_calls(13)
+    for name, call in enumerating_calls(np.int64(13)).items():
+        got, want = call(), plain[name]()
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name
 
 
 @pytest.mark.parametrize("p", [7.0, 13.0])
