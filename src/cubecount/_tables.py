@@ -4,8 +4,8 @@ Products of two residues must stay exact in int64, which caps the
 enumerable modulus at isqrt(2**63), and the tables hold only mod a prime;
 every enumerating entry point checks both with check_enumerable before it
 allocates anything.  per_prime is the one cache policy for the O(p)
-tables: p checked, table built, marked read-only, and kept for the last
-TABLE_PRIMES primes.  It holds three: inv_table here (every vp_brute and
+tables: p checked, table built, marked read-only, and kept for the one
+prime last asked for.  It holds three: inv_table here (every vp_brute and
 two builders read it), oracle.family_counts (four sweep checks) and
 cubicres.t_preimage_counts (one lookup per t).  is_prime, the package's
 one primality test, lives here so that the oracles and modarith can both
@@ -26,11 +26,6 @@ if TYPE_CHECKING:
 
 #: Largest modulus for which (p-1)**2 still fits in int64.
 MAX_ENUM_PRIME = 3_037_000_499
-
-#: How many primes' worth of each table is kept.  Every caller finishes one
-#: prime before it starts the next, so this only has to cover a caller that
-#: goes back to a recent prime.
-TABLE_PRIMES = 8
 
 # Sinclair's seven Miller-Rabin bases decide every n < 2**64 (a base that
 # is 0 mod n is skipped).  The first twelve primes are fooled by
@@ -96,10 +91,11 @@ def per_prime(build):
     """Memoise an O(p) table builder: build(p) -> read-only ndarray.
 
     The returned function checks p with check_enumerable, builds the table
-    from the int that returns, marks it read-only, and keeps the tables of
-    the last TABLE_PRIMES primes.  It is the cache wrapper itself, with
-    cache_info, cache_clear and cache_parameters; keys are typed, so 7.0 is
-    checked (and refused) even after 7 is cached.
+    from the int that returns, marks it read-only, and keeps the table of
+    the last prime only: every caller finishes one prime before it starts
+    the next, so a second slot would never be read.  It is the cache
+    wrapper itself, with cache_info, cache_clear and cache_parameters; keys
+    are typed, so 7.0 is checked (and refused) even after 7 is cached.
     """
 
     @functools.wraps(build)
@@ -108,7 +104,7 @@ def per_prime(build):
         out.flags.writeable = False
         return out
 
-    return functools.lru_cache(maxsize=TABLE_PRIMES, typed=True)(table)
+    return functools.lru_cache(maxsize=1, typed=True)(table)
 
 
 def _prime_factors(n: int) -> list[int]:

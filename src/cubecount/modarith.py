@@ -28,7 +28,6 @@ __all__ = [
     "is_prime",
     "legendre",
     "rational_mod",
-    "sqrt_mod",
 ]
 
 #: Moduli at or above 2**62 are rejected at the Prime boundary so that every
@@ -131,45 +130,3 @@ def legendre(a: int, p: int) -> int:
     t = pow(a, (p - 1) // 2, p)
     return -1 if t == p - 1 else t
 
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """Canonical square root of a mod p, or None when a is a non-residue.
-
-    Returns min(r, p - r) of the two roots, and 0 for a = 0 (mod p).
-    Tonelli-Shanks in the general case, with the usual p = 3 (mod 4)
-    shortcut.  p is checked with checked_prime: a composite raises
-    CompositeModulus.
-    """
-    p = checked_prime(p)
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # Tonelli-Shanks: write p - 1 = q * 2^s with q odd.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2  # a prime has a non-residue below p
-    while legendre(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        t2 = t
-        for i in range(1, m):  # t has order 2^i for some i < m
-            t2 = t2 * t2 % p
-            if t2 == 1:
-                break
-        b = pow(c, 1 << (m - i - 1), p)
-        r = r * b % p
-        c = b * b % p
-        t = t * c % p
-        m = i
-    return min(r, p - r)

@@ -67,10 +67,6 @@ class RationalMap:
             _tables.check_int("coefficient", c)
 
     @classmethod
-    def from_poly(cls, coeffs) -> "RationalMap":
-        return cls(tuple(coeffs), (1,))
-
-    @classmethod
     def x2_plus_a_over_x(cls, a: int) -> "RationalMap":
         """x^2 + a/x, written as (x^3 + a) / x."""
         return cls((a, 0, 0, 1), (0, 1))

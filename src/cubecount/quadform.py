@@ -86,12 +86,6 @@ class EisRep:
             )
 
 
-def _normalized_a3b(x: int, y: int, p: int) -> QuadRep:
-    # 3 never divides x (x^2 = p - 3y^2 = 1 mod 3), so exactly one sign works.
-    a = x if x % 3 == 1 else -x
-    return QuadRep(a, y, p)
-
-
 def represent_a3b(p: int) -> QuadRep:
     """The unique QuadRep of a prime p = 1 (mod 3).
 
@@ -115,7 +109,9 @@ def represent_a3b(p: int) -> QuadRep:
     if c > 0 and rem % 3 == 0:
         y = isqrt(rem // 3)
         if y > 0 and 3 * y * y == rem:
-            return _normalized_a3b(c, y, p)
+            # 3 never divides c (c^2 = p - 3y^2 = 1 mod 3), so exactly one
+            # sign works.
+            return QuadRep(c if c % 3 == 1 else -c, y, p)
     # The descent succeeds for every prime p = 1 (mod 3).
     raise InternalInconsistency(f"descent found no p = A^2 + 3B^2 for the prime {p}")
 

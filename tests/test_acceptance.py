@@ -91,32 +91,32 @@ def test_criterion_04_root_count_law_all_cubics():
         qr[np.unique(xs[1:] * xs[1:] % p)] = 1
         x2 = xs * xs % p
         x3 = x2 * xs % p
-        # for fixed (a1, a2) the cubic has a root at x exactly when
-        # a3 = -(x^3 + a1 x^2 + a2 x), so one bincount covers all a3;
-        # the discriminant is a quadratic in a3 with leading term -27
+        # rows are a2, columns x (for g and f') or a3 (for the counts and
+        # the discriminant).  For fixed (a1, a2) the cubic has a root at x
+        # exactly when a3 = -(x^3 + a1 x^2 + a2 x), so one bincount over
+        # a2 * p + a3 counts the roots of all p^2 cubics with this a1; the
+        # discriminant is a quadratic in a3 with leading term -27
+        a2 = xs[:, None]
+        rows = np.repeat(xs, p)
         for a1 in range(p):
-            c1_part = 18 * a1
-            for a2 in range(p):
-                g = (x3 + a1 * x2 + a2 * xs) % p
-                counts = np.bincount((p - g) % p, minlength=p)
-                c0 = (a1 * a1 * a2 * a2 - 4 * a2**3) % p
-                c1 = (c1_part * a2 - 4 * a1**3) % p
-                d = (c0 + c1 * xs + (p - 27 % p) * x2) % p
-                chi = qr[d]
-                if not (counts[chi == -1] == 1).all():
-                    bad += 1
-                if not np.isin(counts[chi == 1], (0, 3)).all():
-                    bad += 1
-                if (chi == 0).any():
-                    if not (counts[chi == 0] <= 3).all():
-                        bad += 1
-                    # a3 kills the discriminant exactly when it makes some
-                    # critical point of the cubic a repeated root
-                    fp = (3 * x2 + 2 * a1 * xs + a2) % p
-                    rz = np.unique((p - g[fp == 0]) % p)
-                    if not np.array_equal(xs[chi == 0], rz):
-                        bad += 1
-                triples += p
+            g = (x3 + a1 * x2 + a2 * xs) % p
+            a3_of_root = (p - g) % p
+            counts = np.bincount((a2 * p + a3_of_root).ravel(), minlength=p * p).reshape(p, p)
+            c0 = (a1 * a1 * a2 * a2 - 4 * a2**3) % p
+            c1 = (18 * a1 * a2 - 4 * a1**3) % p
+            d = (c0 + c1 * xs + (p - 27 % p) * x2) % p
+            chi = qr[d]
+            zero = chi == 0
+            bad += np.count_nonzero(((chi == -1) & (counts != 1)).any(axis=1))
+            bad += np.count_nonzero(((chi == 1) & (counts != 0) & (counts != 3)).any(axis=1))
+            bad += np.count_nonzero((zero & (counts > 3)).any(axis=1))
+            # a3 kills the discriminant exactly when it makes some critical
+            # point of the cubic a repeated root
+            fp = (3 * x2 + 2 * a1 * xs + a2) % p == 0
+            rz = np.zeros((p, p), dtype=bool)
+            rz[rows[fp.ravel()], a3_of_root[fp]] = True
+            bad += np.count_nonzero(zero.any(axis=1) & (rz != zero).any(axis=1))
+            triples += p * p
         # tie the batched loop back to the public oracle on a sample
         rng = np.random.default_rng(p)
         for _ in range(40):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from cubecount import modarith
-from cubecount.errors import CompositeModulus, CubecountError, ZeroInverse
+from cubecount.errors import CompositeModulus, ZeroInverse
 from cubecount.modarith import (
     MAX_PRIME,
     Prime,
@@ -18,9 +18,8 @@ from cubecount.modarith import (
     is_prime,
     legendre,
     rational_mod,
-    sqrt_mod,
 )
-from helpers import primes_upto, sieve_upto, squares_mod, time_limit, trial_factor
+from helpers import primes_upto, sieve_upto, squares_mod, trial_factor
 
 
 def test_inv_mod_examples_and_zero():
@@ -80,74 +79,16 @@ def test_legendre_is_multiplicative():
                 assert vals[a * b % p] == vals[a] * vals[b]
 
 
-def test_sqrt_mod_examples():
-    assert sqrt_mod(2, 7) == 3
-    assert sqrt_mod(0, 7) == 0
-    assert sqrt_mod(5, 7) is None
-    assert sqrt_mod(9, 17) == 3
-
-
-def test_sqrt_mod_exhaustive_small():
-    # includes p = 17, 41, 73, 89, 97, which exercise the full two-adic loop
-    for p in primes_upto(199, start=5):
-        for a in range(p):
-            r = sqrt_mod(a, p)
-            if legendre(a, p) == -1:
-                assert r is None
-            else:
-                assert r is not None
-                assert r * r % p == a
-                assert r <= p - r  # canonical representative
-
-
-def test_sqrt_mod_matches_sympy():
-    # random primes from 7 up to 62 bits (sqrt_mod takes p > 3), and primes
-    # p = 1 (mod 2^s) for large s, where Tonelli-Shanks runs its longest
-    # two-adic loop
-    ntheory = pytest.importorskip("sympy.ntheory")
-    rng = random.Random(20261019)
-    bits = [rng.randint(4, 62) for _ in range(300)]
-    primes = [ntheory.prevprime(rng.randrange(1 << (b - 1), 1 << b)) for b in bits]
-    primes += [65537, 998244353, 4179340454199820289]
-    residues = nonresidues = 0
-    for p in primes:
-        for a in [0, 1, p - 1] + [rng.randrange(p) for _ in range(4)]:
-            want = ntheory.residue_ntheory.sqrt_mod(a, p)
-            got = sqrt_mod(a, p)
-            if want is None:
-                assert got is None, (a, p)
-                nonresidues += 1
-            else:
-                assert got is not None and got * got % p == a, (a, p)
-                assert got in (want, (p - want) % p)
-                residues += 1
-    assert residues > 300 and nonresidues > 300
-
-
-def test_sqrt_mod_composite_modulus_raises_promptly():
-    # 1729 = 7 * 13 * 19 is a Carmichael number: 1726 passes the Euler test
-    # and no z in [2, 1729) is a non-residue by it, so an unbounded search
-    # never ends
-    with time_limit(5):
-        with pytest.raises(CubecountError):
-            sqrt_mod(1726, 1729)
-        # 3277 = 29 * 113: the search finds a z, then no power of t reaches 1
-        with pytest.raises(CubecountError):
-            sqrt_mod(7, 3277)
-
-
-def test_legendre_and_sqrt_mod_refuse_composite_moduli():
+def test_legendre_refuses_composite_moduli():
     for call in (
         lambda: legendre(2, 35),
         lambda: legendre(5, 561),
         lambda: legendre(2, 561),
-        lambda: sqrt_mod(4, 35),
     ):
         with pytest.raises(CompositeModulus):
             call()
-    for fn in (legendre, sqrt_mod):
-        with pytest.raises(ValueError):
-            fn(1, 3)
+    with pytest.raises(ValueError):
+        legendre(1, 3)
 
 
 def test_is_prime_examples():

@@ -28,6 +28,7 @@ from cubecount.oracle import (
     np_cubic_roots,
     vp_brute,
 )
+from cubecount.sweep import run_sweep
 from helpers import cubes_mod, primes_1mod3, primes_upto, sieve_upto, time_limit, trial_factor
 
 
@@ -38,7 +39,7 @@ def test_rational_map_constructors():
     assert g.numerator == (3, 0, 0, 2) and g.denominator == (0, 0, 2)
     h = RationalMap.cubic(4, 5, 6)
     assert h.numerator == (6, 5, 4, 1) and h.denominator == (1,)
-    assert RationalMap.from_poly((0, 0, 1)).denominator == (1,)
+    assert RationalMap((0, 0, 1)).denominator == (1,)
     with pytest.raises(ValueError):
         RationalMap((), (1,))
 
@@ -48,7 +49,7 @@ def test_vp_brute_examples():
     assert vp_brute(RationalMap.x2_plus_a_over_x(2), 7, Domain.NONZERO).v == 3
     assert vp_brute(RationalMap.x2_plus_a_over_x(4), 7, Domain.NONZERO).v == 6
     for p in (5, 7, 13, 101):
-        sq = vp_brute(RationalMap.from_poly((0, 0, 1)), p, Domain.ALL)
+        sq = vp_brute(RationalMap((0, 0, 1)), p, Domain.ALL)
         assert sq.v == (p + 1) // 2
 
 
@@ -96,7 +97,7 @@ def test_inv_table_at_a_large_prime():
     inv = _tables.inv_table(p)
     assert inv.shape == (p,) and not inv.flags.writeable
     assert _tables.inv_table(p) is inv
-    assert _tables.inv_table.cache_parameters()["maxsize"] == _tables.TABLE_PRIMES
+    assert _tables.inv_table.cache_parameters()["maxsize"] == 1
     rng = random.Random(9)
     for x in [1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(5_000)]:
         assert inv[x] == pow(x, -1, p)
@@ -388,14 +389,42 @@ def test_per_prime_tables_are_cached_and_read_only(table):
     assert table(31) is first
     with pytest.raises(ValueError):
         first[1] = 0
-    assert table.cache_parameters()["maxsize"] == _tables.TABLE_PRIMES
+    assert table.cache_parameters()["maxsize"] == 1
+
+
+def test_every_sweep_check_finishes_a_prime_before_the_next():
+    # One slot per table is enough only if no check goes back to an earlier
+    # prime: then each table is built exactly once per prime.
+    for table in PER_PRIME_TABLES:
+        table.cache_clear()
+    report = run_sweep(300, jobs=1)
+    assert report.primes_checked == 60
+    for table in PER_PRIME_TABLES:
+        assert table.cache_info().misses == report.primes_checked, table.__name__
+
+
+def test_per_prime_keeps_one_prime():
+    # after counts at two large primes only the second inverse table (8p
+    # bytes) stays allocated; a cache of two primes would keep 16p
+    p, q = 1_000_003, 1_000_033
+    f = RationalMap.x2_plus_a_over_x(1)
+    vp_brute(f, 13, Domain.NONZERO)  # numpy is imported on first use and stays
+    _tables.inv_table.cache_clear()
+    tracemalloc.start()
+    try:
+        vp_brute(f, p, Domain.NONZERO)
+        vp_brute(f, q, Domain.NONZERO)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 10 * p
 
 
 def enumerating_calls(p: int) -> dict:
     """Every enumerating entry point, by name, as a call at the modulus p."""
     return {
         "vp_brute": lambda: vp_brute(RationalMap.x2_plus_a_over_x(1), p, Domain.NONZERO),
-        "vp_brute_all": lambda: vp_brute(RationalMap.from_poly((0, 0, 1)), p, Domain.ALL),
+        "vp_brute_all": lambda: vp_brute(RationalMap((0, 0, 1)), p, Domain.ALL),
         "family_counts": lambda: family_counts(p),
         "np_cubic_roots": lambda: np_cubic_roots(0, 0, 1, p),
         "jacobsthal_brute": lambda: jacobsthal_brute(1, p),
