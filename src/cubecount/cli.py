@@ -21,7 +21,7 @@ from .errors import CubecountError
 from .modarith import Prime, rational_mod
 from .oracle import Domain, RationalMap, jacobsthal_brute, vp_brute
 from .quadform import represent_a3b, represent_l27m
-from .sweep import CHECKS, run_sweep
+from .sweep import CHECKS, ROW_FIELDS, run_sweep
 
 __all__ = ["main"]
 
@@ -114,21 +114,18 @@ def cmd_sweep(args) -> int:
     max_p = args.max_p
     if max_p < 5:
         raise ValueError(f"--max-p {max_p}: no primes above 3 in range")
-    if args.checks is None:
-        names = list(CHECKS)
-    else:
-        names = [s for s in args.checks.split(",") if s]
-    # run_sweep rejects an unknown name before doing any work
+    names = None if args.checks is None else [s for s in args.checks.split(",") if s]
+    # run_sweep rejects an unknown or repeated name before doing any work
     report = run_sweep(max_p, names, jobs=args.jobs)
     summary = {
         "prime_range": list(report.prime_range),
         "primes_checked": report.primes_checked,
         "pairs_checked": report.pairs_checked,
         "mismatches": len(report.mismatches),
-        "checks": names,
+        "checks": report.config["checks"],
     }
     if args.format == "csv":
-        _emit(report.mismatches, "csv", fields=("check", "p", "a", "v_closed", "v_brute"))
+        _emit(report.mismatches, "csv", fields=ROW_FIELDS)
         print(json.dumps(summary), file=sys.stderr)
     else:
         _emit(report.mismatches + [summary], "json")

@@ -1,15 +1,19 @@
 """Exhaustive equivalence sweeps: closed forms vs enumeration, per prime.
 
-Each check takes a prime and returns (pairs tested, mismatch rows).  The
-checks on the x^2 + a/x family read one table of counts per prime
+Each check takes a prime and hands its comparisons to _compare as
+(a, v_closed, v_brute) triples; it returns (pairs, mismatch rows), where
+pairs is the number of comparisons it made.  A mismatch row is a dict
+keyed by ROW_FIELDS (check / p / a / v_closed / v_brute); the "a" slot
+carries whatever indexes the comparison (the family parameter, a
+Jacobsthal argument, or a short label for per-prime identities).  cor21
+makes one comparison per a: the two counts when they differ, otherwise
+the cube criterion as booleans (is a a cube, is its count the top one).
+The checks on the x^2 + a/x family read one table of counts per prime
 (family_counts), the Jacobsthal check one vector of sums (jacobsthal_all)
 and the t-map check one vector of preimage counts (t_preimage_counts); the
-closed form is still evaluated per parameter.  A
-mismatch row is a dict with keys check / p / a / v_closed / v_brute; the
-"a" slot carries whatever indexes the comparison (the family parameter, a
-Jacobsthal argument, or a short label for per-prime identities).  Rows are
-produced in ascending-p order and do not depend on how the work was split
-across processes.
+closed form is still evaluated per parameter.  Rows are produced in
+ascending-p order and do not depend on how the work was split across
+processes.
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ from .cubicres import is_cubic_residue, t_preimage_counts
 from .oracle import Domain, RationalMap, family_counts, jacobsthal_all, vp_brute
 from .quadform import _cached_a3b, represent_l27m
 
-__all__ = ["CHECKS", "SweepReport", "primes_between", "run_sweep"]
+__all__ = ["CHECKS", "ROW_FIELDS", "SweepReport", "primes_between", "run_sweep"]
 
 #: Triples sampled per prime by the von Sterneck check.
 VONSTERNECK_TRIALS = 24
+
+#: The keys of a mismatch row, in order.
+ROW_FIELDS = ("check", "p", "a", "v_closed", "v_brute")
 
 
 @dataclass
@@ -68,83 +75,68 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return [int(q) for q in np.flatnonzero(sieve) if q >= lo]
 
 
-def _row(check: str, p: int, a, v_closed, v_brute) -> dict:
-    return {"check": check, "p": p, "a": a, "v_closed": v_closed, "v_brute": v_brute}
+def _compare(check: str, p: int, triples) -> tuple[int, list[dict]]:
+    """(pairs, mismatch rows) of one check's (a, v_closed, v_brute) triples."""
+    pairs, rows = 0, []
+    for triple in triples:
+        pairs += 1
+        if triple[1] != triple[2]:
+            rows.append(dict(zip(ROW_FIELDS, (check, p, *triple))))
+    return pairs, rows
 
 
 def check_theorem21(p: int):
     """Main count: vp_closed vs enumeration of x^2 + a/x, all nonzero a."""
     counts = family_counts(p).tolist()
-    bad = []
-    for a in range(1, p):
-        vc = vp_closed(a, p).v
-        if vc != counts[a]:
-            bad.append(_row("theorem21", p, a, vc, counts[a]))
-    return p - 1, bad
+    triples = ((a, vp_closed(a, p).v, counts[a]) for a in range(1, p))
+    return _compare("theorem21", p, triples)
 
 
 def check_lemma22(p: int):
     """Preimage counts of t_map: 2 at t = 27, otherwise 0 or 3."""
-    counts = t_preimage_counts(p).tolist()
-    bad = []
+    n = t_preimage_counts(p).tolist()
     t27 = 27 % p
-    for t in range(1, p):
-        n = counts[t]
-        want = 2 if t == t27 else (3 if n else 0)
-        if n != want:
-            bad.append(_row("lemma22", p, t, want, n))
-    return p - 1, bad
+    triples = ((t, 2 if t == t27 else 3 if n[t] else 0, n[t]) for t in range(1, p))
+    return _compare("lemma22", p, triples)
 
 
 def check_lemma23(p: int):
     """Jacobsthal sums: closed form vs the definitional sum, all nonzero m."""
     rep = _cached_a3b(p) if p % 3 == 1 else None
     sums = jacobsthal_all(p).tolist()
-    bad = []
-    for m in range(1, p):
-        jc = jacobsthal_closed(m, p, rep)
-        if jc != sums[m]:
-            bad.append(_row("lemma23", p, m, jc, sums[m]))
-    return p - 1, bad
+    triples = ((m, jacobsthal_closed(m, p, rep), sums[m]) for m in range(1, p))
+    return _compare("lemma23", p, triples)
 
 
 def check_cor21(p: int):
     """Companion family x^2 + 2a/x vs vp_2a, plus the cube criterion."""
     if p % 3 != 1:
         return 0, []
-    rep = _cached_a3b(p)
-    top = (2 * p - 1 + 2 * rep.A) // 3
+    top = (2 * p - 1 + 2 * _cached_a3b(p).A) // 3
     counts = family_counts(p).tolist()
-    bad = []
-    for a in range(1, p):
-        vc = vp_2a(a, p).v
-        vb = counts[2 * a % p]
-        if vc != vb:
-            bad.append(_row("cor21", p, a, vc, vb))
-        elif is_cubic_residue(a, p) != (vc == top):
-            # The count attains its maximum case exactly on cubes.
-            bad.append(_row("cor21", p, a, top, vc))
-    return p - 1, bad
+
+    def triples():
+        for a in range(1, p):
+            vc, vb = vp_2a(a, p).v, counts[2 * a % p]
+            # Where the counts agree, the top count occurs exactly on cubes.
+            yield (a, vc, vb) if vc != vb else (a, is_cubic_residue(a, p), vb == top)
+
+    return _compare("cor21", p, triples())
 
 
 def check_cor23(p: int):
     """Recover L and A from enumerated counts and compare with the forms."""
     if p % 3 != 1:
         return 0, []
-    rep = _cached_a3b(p)
-    eis = represent_l27m(p)
+    A, L = _cached_a3b(p).A, represent_l27m(p).L
     counts = family_counts(p)
-    v1 = int(counts[1])
     v1h = vp_brute(RationalMap.x_plus_a_over_2x2(2), p, Domain.NONZERO).v
-    v2 = int(counts[2])
-    bad = []
-    if l_from_count(p, v1) != eis.L:
-        bad.append(_row("cor23", p, "L|x^2+1/x", eis.L, l_from_count(p, v1)))
-    if l_from_count(p, v1h) != eis.L:
-        bad.append(_row("cor23", p, "L|x+1/x^2", eis.L, l_from_count(p, v1h)))
-    if a_from_count(p, v2) != rep.A:
-        bad.append(_row("cor23", p, "A|x^2+2/x", rep.A, a_from_count(p, v2)))
-    return 3, bad
+    triples = [
+        ("L|x^2+1/x", L, l_from_count(p, int(counts[1]))),
+        ("L|x+1/x^2", L, l_from_count(p, v1h)),
+        ("A|x^2+2/x", A, a_from_count(p, int(counts[2]))),
+    ]
+    return _compare("cor23", p, triples)
 
 
 def check_cor24(p: int):
@@ -154,12 +146,7 @@ def check_cor24(p: int):
     want = _cor24_value(p, _cached_a3b(p))
     c1 = int(family_counts(p)[4 % p])
     c2 = vp_brute(RationalMap.x_plus_a_over_2x2(4), p, Domain.NONZERO).v
-    bad = []
-    if c1 != want:
-        bad.append(_row("cor24", p, "x^2+4/x", want, c1))
-    if c2 != want:
-        bad.append(_row("cor24", p, "x+2/x^2", want, c2))
-    return 2, bad
+    return _compare("cor24", p, [("x^2+4/x", want, c1), ("x+2/x^2", want, c2)])
 
 
 def check_vonsterneck(p: int):
@@ -170,17 +157,18 @@ def check_vonsterneck(p: int):
     """
     want = von_sterneck_value(p)
     rng = random.Random(p)
-    bad = []
-    done = 0
-    while done < VONSTERNECK_TRIALS:
-        a1, a2, a3 = (rng.getrandbits(48) % p for _ in range(3))
-        if (a1 * a1 - 3 * a2) % p == 0:
-            continue
-        done += 1
-        v = vp_brute(RationalMap.cubic(a1, a2, a3), p, Domain.ALL).v
-        if v != want:
-            bad.append(_row("vonsterneck", p, f"{a1},{a2},{a3}", want, v))
-    return VONSTERNECK_TRIALS, bad
+
+    def trials():
+        done = 0
+        while done < VONSTERNECK_TRIALS:
+            a1, a2, a3 = (rng.getrandbits(48) % p for _ in range(3))
+            if (a1 * a1 - 3 * a2) % p == 0:
+                continue
+            done += 1
+            v = vp_brute(RationalMap.cubic(a1, a2, a3), p, Domain.ALL).v
+            yield f"{a1},{a2},{a3}", want, v
+
+    return _compare("vonsterneck", p, trials())
 
 
 def check_jacobi(p: int):
@@ -188,12 +176,7 @@ def check_jacobi(p: int):
     if p % 3 != 1:
         return 0, []
     ok_a, ok_l = jacobi_check(p)
-    bad = []
-    if not ok_a:
-        bad.append(_row("jacobi", p, "A", 1, 0))
-    if not ok_l:
-        bad.append(_row("jacobi", p, "L", 1, 0))
-    return 2, bad
+    return _compare("jacobi", p, [("A", 1, int(ok_a)), ("L", 1, int(ok_l))])
 
 
 CHECKS = {
@@ -227,9 +210,11 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     names = list(CHECKS) if checks is None else list(checks)
     if not names:
         raise ValueError(f"no checks selected (choose from {','.join(CHECKS)})")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r} (choose from {','.join(CHECKS)})")
+        if name in names[:i]:
+            raise ValueError(f"check {name!r} is named twice")
     ps = primes_between(5, max_p)
     if jobs is None or jobs < 1:
         jobs = 1

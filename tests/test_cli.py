@@ -174,6 +174,7 @@ def test_sweep_output_independent_of_jobs(capsys):
 def test_sweep_bad_usage_exit_2(capsys):
     assert run_cli(capsys, "sweep", "--max-p", "50", "--checks", "nope")[0] == 2
     assert run_cli(capsys, "sweep", "--max-p", "50", "--checks", ",")[0] == 2
+    assert run_cli(capsys, "sweep", "--max-p", "50", "--checks", "theorem21,theorem21")[0] == 2
     assert run_cli(capsys, "sweep", "--max-p", "4")[0] == 2
 
 

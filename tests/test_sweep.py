@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,16 +40,114 @@ def test_run_sweep_small_all_checks():
     assert set(rep.config["checks"]) == set(CHECKS)
 
 
+def _pairs_at(check, p):
+    """How many comparisons a check makes at the prime p."""
+    if check in ("theorem21", "lemma22", "lemma23"):
+        return p - 1
+    if check == "vonsterneck":
+        return sweep.VONSTERNECK_TRIALS
+    per_prime = {"cor21": p - 1, "cor23": 3, "cor24": 2, "jacobi": 2}[check]
+    return per_prime if p % 3 == 1 else 0
+
+
 def test_run_sweep_check_subset_and_pair_accounting():
-    rep = run_sweep(60, checks=["theorem21"])
-    assert rep.config["checks"] == ["theorem21"]
-    assert rep.pairs_checked == sum(p - 1 for p in primes_between(5, 60))
+    for check in CHECKS:
+        rep = run_sweep(60, checks=[check])
+        assert rep.config["checks"] == [check]
+        assert rep.pairs_checked == sum(_pairs_at(check, p) for p in primes_between(5, 60))
 
 
 def test_run_sweep_unknown_check():
-    for checks in (["nope"], []):
+    for checks in (["nope"], [], ["theorem21", "theorem21"]):
         with pytest.raises(ValueError):
             run_sweep(60, checks=checks)
+
+
+def _rows(check, *triples):
+    return [
+        {"check": check, "p": 13, "a": a, "v_closed": vc, "v_brute": vb}
+        for a, vc, vb in triples
+    ]
+
+
+def _t_counts_with_one_at_5(p, real=sweep.t_preimage_counts):
+    counts = real(p).copy()
+    counts[5] = 1
+    return counts
+
+
+# The von Sterneck sample at p = 13, in the order it is drawn.
+_SAMPLE_13 = (
+    "8,8,2 9,6,7 12,4,4 11,7,2 11,1,12 0,8,7 12,10,1 8,5,0 7,3,10 2,2,4 1,11,11 2,9,11 "
+    "4,3,7 1,5,9 4,9,9 11,5,12 8,2,11 9,0,8 4,12,6 7,3,1 11,1,6 0,5,7 6,0,0 9,7,8"
+).split()
+
+# (check, name patched in cubecount.sweep, fake, pairs, rows) at p = 13,
+# where A = 1, B = 2, L = -5 and the cubes are 1, 5, 8, 12.
+PLANTED_FAULTS = [
+    (
+        "theorem21",
+        "vp_closed",
+        lambda a, p, real=sweep.vp_closed: SimpleNamespace(v=real(a, p).v + (a == 3)),
+        12,
+        _rows("theorem21", (3, 10, 9)),
+    ),
+    ("lemma22", "t_preimage_counts", _t_counts_with_one_at_5, 12, _rows("lemma22", (5, 3, 1))),
+    (
+        "lemma23",
+        "jacobsthal_closed",
+        lambda m, p, rep, real=sweep.jacobsthal_closed: real(m, p, rep) + (m == 2),
+        12,
+        _rows("lemma23", (2, -5, -6)),
+    ),
+    (
+        "cor21",
+        "vp_2a",
+        lambda a, p, real=sweep.vp_2a: SimpleNamespace(v=real(a, p).v + (a == 4)),
+        12,
+        _rows("cor21", (4, 11, 10)),
+    ),
+    (
+        "cor21",
+        "is_cubic_residue",
+        lambda a, p: False,
+        12,
+        _rows("cor21", *((a, False, True) for a in (1, 5, 8, 12))),
+    ),
+    (
+        "cor23",
+        "represent_l27m",
+        lambda p: SimpleNamespace(L=-4, M=1),
+        3,
+        _rows("cor23", ("L|x^2+1/x", -4, -5), ("L|x+1/x^2", -4, -5)),
+    ),
+    (
+        "cor24",
+        "_cor24_value",
+        lambda p, rep: 0,
+        2,
+        _rows("cor24", ("x^2+4/x", 0, 6), ("x+2/x^2", 0, 6)),
+    ),
+    (
+        "vonsterneck",
+        "von_sterneck_value",
+        lambda p: 0,
+        24,
+        _rows("vonsterneck", *((label, 0, 9) for label in _SAMPLE_13)),
+    ),
+    ("jacobi", "jacobi_check", lambda p: (False, True), 2, _rows("jacobi", ("A", 1, 0))),
+]
+
+
+@pytest.mark.parametrize(
+    "check, name, fake, pairs, rows",
+    PLANTED_FAULTS,
+    ids=[f"{check}-{name}" for check, name, *_ in PLANTED_FAULTS],
+)
+def test_planted_fault_gives_exact_rows(monkeypatch, check, name, fake, pairs, rows):
+    assert CHECKS[check](13) == (pairs, [])
+    monkeypatch.setattr(sweep, name, fake)
+    assert CHECKS[check](13) == (pairs, rows)
 
 
 def test_run_sweep_independent_of_jobs():
@@ -79,7 +178,7 @@ def test_run_sweep_caps_jobs_at_cpu_count(monkeypatch):
 
 def flag_1mod4(p):
     """A planted check that fails at every p = 1 (mod 4)."""
-    return 1, [sweep._row("planted", p, 1, 0, 1)] if p % 4 == 1 else []
+    return sweep._compare("planted", p, [(1, 0, int(p % 4 == 1))])
 
 
 @pytest.mark.skipif(
