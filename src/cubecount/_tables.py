@@ -8,14 +8,17 @@ tables: p checked, table built, marked read-only, and kept for the one
 prime last asked for.  It holds three: inv_table here (every vp_brute and
 two builders read it), oracle.family_counts (four sweep checks) and
 cubicres.t_preimage_counts (one lookup per t).  is_prime, the package's
-one primality test, lives here so that the oracles and modarith can both
-import it.  numpy is imported on first use, inside the table builders, so
+one primality test, and check_int, its one rule for what an integer
+argument is, live here so that the oracles and modarith can both import
+them.  numpy is imported on first use, inside the table builders, so
 importing the package costs no numpy import until a table is built.
 """
 
 from __future__ import annotations
 
 import functools
+from decimal import Decimal
+from fractions import Fraction
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -38,7 +41,8 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin after trial division by the primes to 41:
-    exact below _MR_LIMIT (3.3e24), a ValueError from there on."""
+    exact below _MR_LIMIT (3.3e24); ValueError from there on and for a non-int."""
+    n = check_int("n", n)
     if n < 2:
         return False
     for q in _MR_PRIMES:
@@ -63,21 +67,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_int(name: str, value) -> None:
-    """ValueError unless value is an integer; a bool is not one."""
-    if type(value) is int:  # the common case, without the ABC check
-        return
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_int(name: str, value) -> int:
+    """value as an int: an Integral other than a bool (a numpy integer too),
+    a whole Fraction or a finite whole Decimal.  Anything else, a float or a
+    string included, is a ValueError naming the argument, never truncated."""
+    if type(value) is int:  # the common case, without the ABC checks
+        return value
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    if isinstance(value, Decimal) and value.is_finite() and value == value.to_integral_value():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_enumerable(p) -> int:
-    """p as an int, so that a numpy integer works like a plain one: a
-    ValueError unless p is an integer at most MAX_ENUM_PRIME, CompositeModulus
-    unless it is prime, since the inverses (from a primitive root) and the
-    oracles' Legendre symbols are right only mod a prime."""
-    check_int("modulus", p)
-    p = int(p)
+    """p as the int check_int returns, so that a numpy integer works like a
+    plain one: a ValueError unless p is an integer at most MAX_ENUM_PRIME,
+    CompositeModulus unless it is prime, since the inverses (from a primitive
+    root) and the oracles' Legendre symbols are right only mod a prime."""
+    p = check_int("modulus", p)
     if p > MAX_ENUM_PRIME:
         raise ValueError(
             f"p = {p} is too large for array enumeration (limit {MAX_ENUM_PRIME})"

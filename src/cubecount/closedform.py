@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._tables import check_int
-from .errors import (
-    InternalInconsistency,
-    MissingRep,
-    NonIntegerResult,
-    WrongResidueClass,
-)
+from .errors import InternalInconsistency, NonIntegerResult, WrongResidueClass
 from .modarith import _nonzero_residue, checked_prime, inv_mod
 from .quadform import (
     CubicClass,
@@ -81,7 +76,7 @@ def _div3(num: int) -> int:
 
 def chi3(n: int) -> int:
     """The character (n/3): +1 for n = 1 (mod 3), -1 for n = 2 (mod 3)."""
-    check_int("n", n)
+    n = check_int("n", n)
     r = n % 3
     if r == 0:
         raise WrongResidueClass(f"{n} is divisible by 3")
@@ -120,9 +115,9 @@ def vp_from_jacobsthal(phi: int, p: int) -> int:
     (2a^2/p) = (2/p), so Phi needs no extra factor.
     """
     p = checked_prime(p)
-    check_int("phi", phi)
+    phi = check_int("phi", phi)
     x3 = chi3(p)
-    v6 = 4 * (p - x3) + (x3 - 1) + (1 - 3 * x3) * int(phi)
+    v6 = 4 * (p - x3) + (x3 - 1) + (1 - 3 * x3) * phi
     q, r = divmod(v6, 6)
     if r:
         raise NonIntegerResult(f"{v6} is not divisible by 6")
@@ -144,8 +139,6 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
     m = _nonzero_residue(m, p)
     if p % 3 == 2:
         return -1
-    if rep is None:
-        raise MissingRep("a QuadRep of p is required when p = 1 (mod 3)")
     _require_rep(p, rep)
     return -1 - class_trace(_unit_class(m, p, rep), rep.A, rep.B)
 
@@ -186,7 +179,7 @@ def a_from_count(p: int, v2: int) -> int:
     """Invert the count of x^2 + 2/x: A = (3 v2 + 1)/2 - p."""
     p = checked_prime(p)
     _require_1mod3(p)
-    check_int("v2", v2)
+    v2 = check_int("v2", v2)
     t = 3 * v2 + 1
     if t % 2:
         raise NonIntegerResult(f"(3*{v2} + 1)/2 is not an integer")
@@ -197,7 +190,7 @@ def l_from_count(p: int, v1: int) -> int:
     """Invert the count of x^2 + 1/x: L = 2p - 1 - 3 v1."""
     p = checked_prime(p)
     _require_1mod3(p)
-    check_int("v1", v1)
+    v1 = check_int("v1", v1)
     return 2 * p - 1 - 3 * v1
 
 
@@ -250,8 +243,7 @@ def binom_mod(n: int, k: int, p: int) -> int:
     against k! in the denominator, both mod p.
     """
     p = checked_prime(p)
-    check_int("n", n)
-    check_int("k", k)
+    n, k = check_int("n", n), check_int("k", k)
     if k < 0 or k > n:
         return 0
     num = den = 1

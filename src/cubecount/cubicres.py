@@ -57,8 +57,7 @@ def is_cubic_residue(a: int, p: int) -> bool:
 def k_map(x: int, p: int) -> int:
     """(x^3 - 9x) / (3x^2 - 3) mod a checked prime p; undefined at x^2 = 1."""
     p = checked_prime(p)
-    _tables.check_int("x", x)
-    x = int(x) % p
+    x = _tables.check_int("x", x) % p
     den = (3 * x * x - 3) % p
     if den == 0:
         raise SingularPoint(f"k_map undefined at x = {x} (x^2 = 1 mod {p})")
@@ -68,8 +67,7 @@ def k_map(x: int, p: int) -> int:
 def t_map(x: int, p: int) -> int:
     """(x^2 + 3)^3 / (x^2 - 1)^2 mod a checked prime p; undefined at x^2 = 1."""
     p = checked_prime(p)
-    _tables.check_int("x", x)
-    x = int(x) % p
+    x = _tables.check_int("x", x) % p
     d = (x * x - 1) % p
     if d == 0:
         raise SingularPoint(f"t_map undefined at x = {x} (x^2 = 1 mod {p})")
@@ -122,8 +120,7 @@ def count_t_preimages(t: int, p: int) -> int:
     t = 0 is outside the map's image and rejected.
     """
     p = _tables.check_enumerable(p)
-    _tables.check_int("t", t)
-    t %= p
+    t = _tables.check_int("t", t) % p
     if t == 0:
         raise ZeroArgument("t = 0 is not in the image of t_map")
     return int(t_preimage_counts(p)[t])

@@ -11,12 +11,10 @@ has validated, so a loop over one modulus runs the primality test once.
 
 from __future__ import annotations
 
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 
-from ._tables import is_prime
+from ._tables import check_int, is_prime
 from .errors import CompositeModulus, ZeroArgument, ZeroInverse
 
 __all__ = [
@@ -39,14 +37,13 @@ MAX_PRIME = 1 << 62
 class Prime(int):
     """A validated prime modulus: prime, greater than 3, below 2**62.
 
-    Accepts integers (not bools) and Fraction or Decimal values that are
-    whole numbers; anything else, a float included, is a ValueError rather
-    than being truncated.  A composite raises CompositeModulus, which is a
-    ValueError too.
+    p is checked with _tables.check_int, so a float or a bool is a ValueError
+    rather than being truncated; a composite raises CompositeModulus, which
+    is a ValueError too.
     """
 
     def __new__(cls, p) -> "Prime":
-        p = _integral(p)
+        p = check_int("modulus", p)
         if p <= 3:
             raise ValueError(f"modulus must be a prime greater than 3, got {p}")
         if p >= MAX_PRIME:
@@ -78,17 +75,6 @@ def _checked_int(p: int) -> int:
     return int(Prime(p))
 
 
-def _integral(x, name: str = "modulus") -> int:
-    """x as an int, if it is an integer or a whole Fraction or Decimal."""
-    if isinstance(x, Integral) and not isinstance(x, bool):
-        return int(x)
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    if isinstance(x, Decimal) and x.is_finite() and x == x.to_integral_value():
-        return int(x)
-    raise ValueError(f"{name} must be an integer, got {x!r}")
-
-
 def inv_mod(a: int, p: int) -> int:
     """Multiplicative inverse of a mod p; raises ZeroInverse on a = 0 (mod p)."""
     if a % p == 0:
@@ -102,13 +88,13 @@ def rational_mod(u: int, v: int, p: int) -> int:
 
 
 def as_residue(a, p: int) -> int:
-    """a reduced into [0, p): an integer or whole Decimal, or any Fraction as
-    numerator / denominator.  A float or a bool is a ValueError, not truncated."""
+    """a reduced into [0, p): any Fraction as numerator / denominator, else
+    the int _tables.check_int returns (a float is a ValueError, not truncated)."""
     if type(a) is int:
         return a % p
     if isinstance(a, Fraction):
         return rational_mod(a.numerator, a.denominator, p)
-    return _integral(a, "a residue") % p
+    return check_int("a residue", a) % p
 
 
 def _nonzero_residue(a, p: int) -> int:
@@ -121,10 +107,11 @@ def _nonzero_residue(a, p: int) -> int:
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) in {-1, 0, 1}, by Euler's criterion.
 
-    p is checked with checked_prime: a composite raises CompositeModulus.
+    p is checked with checked_prime: a composite raises CompositeModulus;
+    a with _tables.check_int.
     """
     p = checked_prime(p)
-    a %= p
+    a = check_int("a", a) % p
     if a == 0:
         return 0
     t = pow(a, (p - 1) // 2, p)

@@ -50,21 +50,21 @@ class Domain(Enum):
 class RationalMap:
     """A rational function given by coefficient tuples, ascending powers.
 
-    Coefficients are arbitrary ints (reduced mod p at evaluation time), and
-    anything else is a ValueError; leading zeros are permitted and
-    evaluation is plain Horner on the lists as given.
+    Coefficients are stored as the ints _tables.check_int returns (a
+    ValueError for anything else) and reduced mod p at evaluation time;
+    leading zeros are permitted and evaluation is plain Horner on the lists
+    as given.
     """
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        object.__setattr__(self, "numerator", tuple(self.numerator))
-        object.__setattr__(self, "denominator", tuple(self.denominator))
-        if not self.numerator or not self.denominator:
-            raise ValueError("coefficient tuples must be non-empty")
-        for c in self.numerator + self.denominator:
-            _tables.check_int("coefficient", c)
+        for name in ("numerator", "denominator"):
+            coeffs = tuple(_tables.check_int("coefficient", c) for c in getattr(self, name))
+            if not coeffs:
+                raise ValueError("coefficient tuples must be non-empty")
+            object.__setattr__(self, name, coeffs)
 
     @classmethod
     def x2_plus_a_over_x(cls, a: int) -> "RationalMap":
@@ -119,6 +119,8 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     import numpy as np
 
     p = _tables.check_enumerable(p)
+    if not isinstance(domain, Domain):
+        raise ValueError(f"domain must be a Domain, got {domain!r}")
     inv = _tables.inv_table(p)
     seen = np.zeros(p, dtype=bool)
     for lo in range(0 if domain is Domain.ALL else 1, p, BRUTE_BLOCK):
@@ -198,8 +200,7 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     import numpy as np
 
     p = _tables.check_enumerable(p)
-    for c in (a1, a2, a3):
-        _tables.check_int("coefficient", c)
+    a1, a2, a3 = (_tables.check_int("coefficient", c) for c in (a1, a2, a3))
     vals = _eval_poly((a3, a2, a1, 1), np.arange(p, dtype=np.int64), p)
     return int(np.count_nonzero(vals == 0))
 
@@ -229,8 +230,7 @@ def jacobsthal_brute(m: int, p: int) -> int:
     absolute value.
     """
     p = _tables.check_enumerable(p)
-    _tables.check_int("m", m)
-    m %= p
+    m = _tables.check_int("m", m) % p
     if m == 0:
         raise ZeroArgument("m must be nonzero mod p")
     symbols, cubes = _symbols_and_cubes(p)

@@ -17,6 +17,7 @@ from enum import Enum
 from functools import lru_cache
 from math import isqrt
 
+from ._tables import check_int
 from .errors import InternalInconsistency, MissingRep, WrongResidueClass
 from .modarith import checked_prime, inv_mod
 
@@ -40,10 +41,11 @@ def _require_1mod3(p: int) -> None:
 
 
 def _require_rep(p: int, rep: QuadRep) -> None:
-    """p = 1 (mod 3), and rep is the representation of p itself."""
+    """p = 1 (mod 3), and rep is the QuadRep of p itself: MissingRep for
+    None, for anything that is no QuadRep, and for the rep of another prime."""
     _require_1mod3(p)
-    if rep.p != p:
-        raise MissingRep(f"the QuadRep given is of {rep.p}, not of p = {p}")
+    if not (isinstance(rep, QuadRep) and rep.p == p):
+        raise MissingRep(f"a QuadRep of p = {p} is required, got {rep!r}")
 
 
 @dataclass(frozen=True)
@@ -176,9 +178,11 @@ def root_class(c: int, p: int, rep: QuadRep) -> CubicClass | None:
     """The class named by a cube root of unity c in [0, p); None for any other c.
 
     c = (-1 +- A/B)/2 exactly when (2c + 1) B = +-A (mod p), so one product
-    tells PLUS from MINUS, with no inverse of B.  rep must be the rep of p.
+    tells PLUS from MINUS, with no inverse of B.  rep must be the rep of p,
+    and c is checked with _tables.check_int.
     """
     _require_rep(p, rep)
+    c = check_int("c", c)
     return _root_class(c, p, rep) if 0 <= c < p else None
 
 

@@ -206,7 +206,9 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     records the number used.
     """
     t0 = time.perf_counter()
-    check_int("max_p", max_p)
+    max_p = check_int("max_p", max_p)
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a list of check names, got the string {checks!r}")
     names = list(CHECKS) if checks is None else list(checks)
     if not names:
         raise ValueError(f"no checks selected (choose from {','.join(CHECKS)})")
@@ -215,9 +217,8 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
             raise ValueError(f"unknown check {name!r} (choose from {','.join(CHECKS)})")
         if name in names[:i]:
             raise ValueError(f"check {name!r} is named twice")
+    jobs = 1 if jobs is None else max(1, check_int("jobs", jobs))
     ps = primes_between(5, max_p)
-    if jobs is None or jobs < 1:
-        jobs = 1
     jobs = min(jobs, os.cpu_count() or 1, max(1, len(ps)))
     check = partial(_check_prime, names)
     if jobs == 1:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from cubecount import cli
 from cubecount.cli import main
 from cubecount.oracle import CountResult
 
@@ -140,6 +141,17 @@ def test_selftest(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "selftest: 0 failure(s)"
     assert sum(1 for line in lines if line.startswith("ok")) == len(lines) - 1
+
+
+def test_selftest_reports_a_failing_vector(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "jacobsthal_brute", lambda m, p: 4)
+    code, out, _ = run_cli(capsys, "selftest")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL jacobsthal_brute(1, 7): got 4, want 3"
+    ]
+    assert lines[-1] == "selftest: 1 failure(s)"
 
 
 def test_sweep_small_json(capsys):

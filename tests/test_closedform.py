@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubecount import closedform
 from cubecount.closedform import (
     a_from_count,
     binom_mod,
@@ -23,6 +24,7 @@ from cubecount.cubicres import CubicClass, cubic_class, in_c0, is_cubic_residue,
 from cubecount.errors import (
     CompositeModulus,
     CubecountError,
+    InternalInconsistency,
     MissingRep,
     NonIntegerResult,
     WrongResidueClass,
@@ -174,6 +176,21 @@ def test_vp_cor24_examples_and_sweep():
         assert v1 == v2 == want
     with pytest.raises(WrongResidueClass):
         vp_cor24(5)
+
+
+def test_divisibility_guards_raise():
+    # at p = 7 a Phi of 1 gives 6V = 4 * 6 - 2 = 22: no count
+    with pytest.raises(NonIntegerResult, match="22 is not divisible by 6"):
+        vp_from_jacobsthal(1, 7)
+    with pytest.raises(NonIntegerResult, match="7 is not divisible by 3"):
+        closedform._div3(7)
+
+
+def test_vp_cor24_refuses_routes_that_disagree(monkeypatch):
+    real = closedform.vp_half_x2
+    monkeypatch.setattr(closedform, "vp_half_x2", lambda a, p: real(a, p) + 1)
+    with pytest.raises(InternalInconsistency, match="count mismatch at p = 7"):
+        vp_cor24(7)
 
 
 def test_von_sterneck_examples_and_formula():

@@ -195,6 +195,15 @@ def test_oracle_arguments_must_be_integers():
     assert np_cubic_roots(np.int64(0), 0, 0, 7) == 1
 
 
+@pytest.mark.parametrize("domain", ["all", "nonzero", None, True])
+def test_vp_brute_refuses_a_domain_that_is_no_domain(domain):
+    # anything but Domain.ALL used to mean the units: "all" counted 2 values
+    # of x^3 mod 7, where Domain.ALL counts 3
+    with pytest.raises(ValueError, match="domain must be a Domain"):
+        vp_brute(RationalMap.cubic(0, 0, 0), 7, domain)
+    assert vp_brute(RationalMap.cubic(0, 0, 0), 7, Domain.ALL).v == 3
+
+
 def test_discriminant_examples_and_exactness():
     assert discriminant_cubic(0, 0, 0) == 0
     assert discriminant_cubic(0, -1, 0) == 4  # x^3 - x

@@ -105,6 +105,18 @@ def test_a_rep_belongs_to_one_prime():
     ):
         with pytest.raises(MissingRep):
             call()
+    # so is anything that is no QuadRep at all, rather than an AttributeError
+    for rep in (None, 5):
+        for call in (
+            lambda: class_value_targets(13, rep),
+            lambda: root_class(1, 13, rep),
+            lambda: cubic_class(3, 13, rep),
+            lambda: l_from_ab(13, rep),
+            lambda: two_class_is_b_mult3(13, rep),
+            lambda: jacobsthal_closed(2, 13, rep),
+        ):
+            with pytest.raises(MissingRep, match="a QuadRep of p = 13 is required"):
+                call()
     # the residue class of p is still checked first
     with pytest.raises(WrongResidueClass):
         cubic_class(2, 5, q7)

@@ -63,6 +63,12 @@ def test_run_sweep_unknown_check():
             run_sweep(60, checks=checks)
 
 
+def test_run_sweep_refuses_a_string_of_checks():
+    # a string used to be walked one letter at a time: "unknown check 't'"
+    with pytest.raises(ValueError, match="list of check names"):
+        run_sweep(30, checks="theorem21")
+
+
 def _rows(check, *triples):
     return [
         {"check": check, "p": 13, "a": a, "v_closed": vc, "v_brute": vb}
