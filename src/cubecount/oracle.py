@@ -119,6 +119,8 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     import numpy as np
 
     p = _tables.check_enumerable(p)
+    if not isinstance(f, RationalMap):
+        raise ValueError(f"f must be a RationalMap, got {f!r}")
     if not isinstance(domain, Domain):
         raise ValueError(f"domain must be a Domain, got {domain!r}")
     inv = _tables.inv_table(p)
@@ -184,8 +186,10 @@ def family_counts(p: int) -> np.ndarray:
 def discriminant_cubic(a1: int, a2: int, a3: int) -> int:
     """Discriminant of x^3 + a1 x^2 + a2 x + a3, as an exact integer.
 
-    D = a1^2 a2^2 - 4 a2^3 - 4 a1^3 a3 - 27 a3^2 + 18 a1 a2 a3.
+    D = a1^2 a2^2 - 4 a2^3 - 4 a1^3 a3 - 27 a3^2 + 18 a1 a2 a3, for
+    coefficients checked with _tables.check_int.
     """
+    a1, a2, a3 = (_tables.check_int("coefficient", c) for c in (a1, a2, a3))
     return (
         a1 * a1 * a2 * a2
         - 4 * a2**3

@@ -48,44 +48,43 @@ def _require_rep(p: int, rep: QuadRep) -> None:
         raise MissingRep(f"a QuadRep of p = {p} is required, got {rep!r}")
 
 
+def _check_form(rep, xname: str, yname: str, d: int, k: int) -> None:
+    """Store p as checked_prime returns it and x, y as check_int returns
+    them; InternalInconsistency unless x^2 + d y^2 = k p, x = 1 (mod 3), y > 0."""
+    p = checked_prime(rep.p)
+    x, y = check_int(xname, getattr(rep, xname)), check_int(yname, getattr(rep, yname))
+    for name, value in ((xname, x), (yname, y), ("p", p)):
+        object.__setattr__(rep, name, value)
+    if x * x + d * y * y != k * p:
+        raise InternalInconsistency(f"{xname}^2 + {d}{yname}^2 = {x * x + d * y * y} != {k * p}")
+    if x % 3 != 1 or y <= 0:
+        raise InternalInconsistency(f"normalisation violated: {xname}={x}, {yname}={y}")
+
+
 @dataclass(frozen=True)
 class QuadRep:
-    """p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0, for a prime p."""
+    """p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0, for a prime p; A, B and
+    p are stored as the ints check_int and checked_prime return."""
 
     A: int
     B: int
     p: int
 
     def __post_init__(self):
-        checked_prime(self.p)
-        if self.A * self.A + 3 * self.B * self.B != self.p:
-            raise InternalInconsistency(
-                f"A^2 + 3B^2 = {self.A * self.A + 3 * self.B * self.B} != {self.p}"
-            )
-        if self.A % 3 != 1 or self.B <= 0:
-            raise InternalInconsistency(
-                f"normalisation violated: A={self.A}, B={self.B}"
-            )
+        _check_form(self, "A", "B", 3, 1)
 
 
 @dataclass(frozen=True)
 class EisRep:
-    """4p = L^2 + 27M^2 with L = 1 (mod 3) and M > 0, for a prime p."""
+    """4p = L^2 + 27M^2 with L = 1 (mod 3) and M > 0, for a prime p; L, M and
+    p are stored as the ints check_int and checked_prime return."""
 
     L: int
     M: int
     p: int
 
     def __post_init__(self):
-        checked_prime(self.p)
-        if self.L * self.L + 27 * self.M * self.M != 4 * self.p:
-            raise InternalInconsistency(
-                f"L^2 + 27M^2 = {self.L * self.L + 27 * self.M * self.M} != {4 * self.p}"
-            )
-        if self.L % 3 != 1 or self.M <= 0:
-            raise InternalInconsistency(
-                f"normalisation violated: L={self.L}, M={self.M}"
-            )
+        _check_form(self, "L", "M", 27, 4)
 
 
 def represent_a3b(p: int) -> QuadRep:
@@ -96,7 +95,8 @@ def represent_a3b(p: int) -> QuadRep:
     most sqrt(p), which is |A|; B follows by subtraction.  root = 2w + 1
     for w = g^((p-1)/3), g the least non-cube (a prime has one below p), as
     w^2 + w + 1 = 0: 1.5 pows on average, where Tonelli-Shanks takes about
-    five.  p is validated first, so a composite raises CompositeModulus.
+    five.  p is validated first, so a composite raises CompositeModulus;
+    QuadRep checks the result, so a descent gone wrong is InternalInconsistency.
     """
     p = checked_prime(p)
     _require_1mod3(p)
@@ -107,15 +107,8 @@ def represent_a3b(p: int) -> QuadRep:
     b, c = p, max(root, p - root)
     while c * c > p:
         b, c = c, b % c
-    rem = p - c * c
-    if c > 0 and rem % 3 == 0:
-        y = isqrt(rem // 3)
-        if y > 0 and 3 * y * y == rem:
-            # 3 never divides c (c^2 = p - 3y^2 = 1 mod 3), so exactly one
-            # sign works.
-            return QuadRep(c if c % 3 == 1 else -c, y, p)
-    # The descent succeeds for every prime p = 1 (mod 3).
-    raise InternalInconsistency(f"descent found no p = A^2 + 3B^2 for the prime {p}")
+    # 3 never divides c (c^2 = p - 3B^2 = 1 mod 3), so exactly one sign is A.
+    return QuadRep(c if c % 3 == 1 else -c, isqrt((p - c * c) // 3), p)
 
 
 @lru_cache(maxsize=1024)
@@ -128,15 +121,8 @@ def _cached_a3b(p: int) -> QuadRep:
 def represent_l27m(p: int) -> EisRep:
     """The unique EisRep of a prime p = 1 (mod 3): 4p = L^2 + 27M^2.
 
-    Derived from the QuadRep by the residue class of B mod 3, which picks
-    the single candidate with integral M:
-
-        3 | B      ->  L = -2A,     M = 2B/3
-        B = 1 (3)  ->  L = A + 3B,  M = |A - B|/3
-        B = 2 (3)  ->  L = A - 3B,  M = |A + B|/3
-
-    Each candidate already satisfies L = 1 (mod 3); the dataclass check
-    confirms the equation.
+    Derived from the QuadRep: B mod 3 picks the one candidate with integral
+    M, and EisRep checks it.
     """
     rep = represent_a3b(p)
     a, b = rep.A, rep.B
@@ -217,10 +203,14 @@ def class_trace(c: CubicClass, a: int, b: int) -> int:
     """t(c) = 2A, -A + 3B or -A - 3B for UNIT, PLUS or MINUS, at A = a, B = b.
 
     Every closed form is one linear form in t.  Swapping PLUS and MINUS is
-    B -> -B, so the conjugate class is class_trace(c, a, -b).
+    B -> -B, so the conjugate class is class_trace(c, a, -b).  A c that is
+    no CubicClass is a ValueError; a and b are checked with check_int.
     """
-    alpha, beta = _TRACE[c]
-    return alpha * a + beta * b
+    try:
+        alpha, beta = _TRACE[c]
+    except (KeyError, TypeError):
+        raise ValueError(f"c must be a CubicClass, got {c!r}") from None
+    return alpha * check_int("a", a) + beta * check_int("b", b)
 
 
 def l_from_ab(p: int, rep: QuadRep) -> int:

@@ -17,8 +17,8 @@ from cubecount import _tables
 from cubecount.closedform import a_from_count, binom_mod, chi3, l_from_count, vp_from_jacobsthal
 from cubecount.cubicres import count_t_preimages, k_map, t_map
 from cubecount.modarith import Prime, as_residue, checked_prime, is_prime, legendre
-from cubecount.oracle import RationalMap, jacobsthal_brute, np_cubic_roots
-from cubecount.quadform import represent_a3b, root_class
+from cubecount.oracle import RationalMap, discriminant_cubic, jacobsthal_brute, np_cubic_roots
+from cubecount.quadform import CubicClass, EisRep, QuadRep, class_trace, represent_a3b, root_class
 from cubecount.sweep import run_sweep
 
 REP7 = represent_a3b(7)
@@ -32,6 +32,14 @@ GUARDED = {
     "as_residue-a": (lambda v: as_residue(v, 7), 9),
     "legendre-a": (lambda v: legendre(v, 7), 3),
     "root_class-c": (lambda v: root_class(v, 7, REP7), 2),
+    "QuadRep-A": (lambda v: QuadRep(v, 2, 13).A, 1),
+    "QuadRep-B": (lambda v: QuadRep(1, v, 13).B, 2),
+    "QuadRep-p": (lambda v: QuadRep(1, 2, v).p, 13),
+    "EisRep-L": (lambda v: EisRep(v, 1, 13).L, -5),
+    "EisRep-M": (lambda v: EisRep(-5, v, 13).M, 1),
+    "EisRep-p": (lambda v: EisRep(-5, 1, v).p, 13),
+    "class_trace-a": (lambda v: class_trace(CubicClass.PLUS, v, 2), 1),
+    "class_trace-b": (lambda v: class_trace(CubicClass.PLUS, 1, v), 2),
     "k_map-x": (lambda v: k_map(v, 13), 5),
     "t_map-x": (lambda v: t_map(v, 13), 5),
     "count_t_preimages-t": (lambda v: count_t_preimages(v, 13), 5),
@@ -39,6 +47,9 @@ GUARDED = {
     "np_cubic_roots-a1": (lambda v: np_cubic_roots(v, 0, 0, 7), 1),
     "np_cubic_roots-a2": (lambda v: np_cubic_roots(0, v, 0, 7), 1),
     "np_cubic_roots-a3": (lambda v: np_cubic_roots(0, 0, v, 7), 1),
+    "discriminant_cubic-a1": (lambda v: discriminant_cubic(v, 1, 1), 2),
+    "discriminant_cubic-a2": (lambda v: discriminant_cubic(1, v, 1), 2),
+    "discriminant_cubic-a3": (lambda v: discriminant_cubic(1, 1, v), 2),
     "RationalMap-numerator": (lambda v: RationalMap((v, 0, 0, 1), (0, 1)).numerator[0], 1),
     "RationalMap-denominator": (lambda v: RationalMap((1, 0, 0, 1), (0, v)).denominator[1], 1),
     "vp_from_jacobsthal-phi": (lambda v: vp_from_jacobsthal(v, 7), 3),

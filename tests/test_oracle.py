@@ -535,3 +535,12 @@ def test_check_enumerable_accepts_exactly_the_primes():
         if prime != flags[n]:
             bad.append(n)
     assert bad == []
+
+
+@pytest.mark.parametrize("f", [(1, 0, 0, 1), None])
+def test_vp_brute_refuses_an_f_that_is_no_rational_map(f):
+    # a tuple used to build the inverse table and then fail with AttributeError
+    _tables.inv_table.cache_clear()
+    with pytest.raises(ValueError, match="f must be a RationalMap"):
+        vp_brute(f, 7, Domain.ALL)
+    assert _tables.inv_table.cache_info().misses == 0

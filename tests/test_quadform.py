@@ -1,5 +1,7 @@
 """Quadratic-form representations: descent output vs exhaustive search."""
 
+import math
+
 import pytest
 
 from cubecount import quadform
@@ -124,3 +126,18 @@ def test_a_rep_belongs_to_one_prime():
 
 def test_rep_cache_is_bounded():
     assert quadform._cached_a3b.cache_parameters()["maxsize"] is not None
+
+
+@pytest.mark.parametrize("c", ["unit", None, 0, [1]])
+def test_class_trace_refuses_a_class_that_is_no_cubic_class(c):
+    # "unit" used to raise KeyError from the trace table
+    with pytest.raises(ValueError, match="c must be a CubicClass"):
+        quadform.class_trace(c, 1, 2)
+    assert quadform.class_trace(CubicClass.UNIT, 1, 2) == 2
+
+
+def test_a_failed_descent_raises_from_quadrep(monkeypatch):
+    # QuadRep is the descent's only check: a wrong B must not come back
+    monkeypatch.setattr(quadform, "isqrt", lambda n: math.isqrt(n) + 1)
+    with pytest.raises(InternalInconsistency, match=r"A\^2 \+ 3B\^2 = "):
+        represent_a3b(13)
