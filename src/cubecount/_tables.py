@@ -5,13 +5,16 @@ enumerable modulus at isqrt(2**63), and the tables hold only mod a prime;
 every enumerating entry point checks both with check_enumerable before it
 allocates anything.  per_prime is the one cache policy for the O(p)
 tables: p checked, table built, marked read-only, and kept for the one
-prime last asked for.  It holds three: inv_table here (every vp_brute and
-two builders read it), oracle.family_counts (four sweep checks) and
-cubicres.t_preimage_counts (one lookup per t).  is_prime, the package's
-one primality test, and check_int, its one rule for what an integer
-argument is, live here so that the oracles and modarith can both import
-them.  numpy is imported on first use, inside the table builders, so
-importing the package costs no numpy import until a table is built.
+prime last asked for.  It holds three: inv_table here (read by vp_brute
+for a non-constant denominator and by cubicres.t_preimage_counts),
+oracle.family_counts (four sweep checks) and cubicres.t_preimage_counts
+(one lookup per t).  unit_powers, the powers of the least primitive root,
+is the one builder that inv_table and family_counts both start from; it
+is a temporary of each build, not a fourth cached table.  is_prime, the
+package's one primality test, and check_int, its one rule for what an
+integer argument is, live here so that the oracles and modarith can both
+import them.  numpy is imported on first use, inside the table builders,
+so importing the package costs no numpy import until a table is built.
 """
 
 from __future__ import annotations
@@ -142,14 +145,13 @@ def primitive_root(p: int) -> int:
     return g
 
 
-@per_prime
-def inv_table(p: int) -> np.ndarray:
-    """inv_table(p)[x] = x^(-1) mod p for x in [1, p); slot 0 holds 0.
+def unit_powers(p: int) -> np.ndarray:
+    """pw[k] = g^k mod p for k in [0, p - 1), g the least primitive root:
+    every unit once, in the order of its discrete logarithm.
 
-    O(p): the powers pw[k] = g^k of a primitive root g are filled by
-    doubling, pw[n:2n] = pw[:n] * g^n, and since g^(-k) = g^(p-1-k) the
-    inverses are one scatter, inv[pw[k]] = pw[p-1-k].  The power table is
-    a temporary of the build, not cached.
+    O(p), filled by doubling, pw[n:2n] = pw[:n] * g^n mod p.  A temporary
+    of the table builds that read it (inv_table, oracle.family_counts),
+    not itself cached.
     """
     import numpy as np
 
@@ -163,8 +165,20 @@ def inv_table(p: int) -> np.ndarray:
         np.multiply(pw[:m], pow(g, n, p), out=block)
         block %= p
         n += m
+    return pw
+
+
+@per_prime
+def inv_table(p: int) -> np.ndarray:
+    """inv_table(p)[x] = x^(-1) mod p for x in [1, p); slot 0 holds 0.
+
+    O(p): since g^(-k) = g^(p-1-k), the inverses are one scatter of
+    unit_powers, inv[pw[k]] = pw[p-1-k].
+    """
+    import numpy as np
+
+    pw = unit_powers(p)
     inv = np.zeros(p, dtype=np.int64)
     inv[1] = 1
     inv[pw[1:]] = pw[:0:-1]
     return inv
-

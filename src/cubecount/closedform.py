@@ -25,10 +25,10 @@ from .quadform import (
     CubicClass,
     QuadRep,
     _cached_a3b,
+    _class_trace,
     _require_1mod3,
     _require_rep,
     _unit_class,
-    class_trace,
     represent_l27m,
 )
 
@@ -100,7 +100,7 @@ def vp_closed(a, p: int) -> VpBreakdown:
         return VpBreakdown(_div3(2 * p - 1), "2mod3", p, a)
     rep = _cached_a3b(p)
     c = _unit_class(2 * a * a % p, p, rep)
-    v = _div3(2 * p - 1 + class_trace(c, rep.A, rep.B))
+    v = _div3(2 * p - 1 + _class_trace(c, rep.A, rep.B))
     return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
 
 
@@ -140,7 +140,7 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
     if p % 3 == 2:
         return -1
     _require_rep(p, rep)
-    return -1 - class_trace(_unit_class(m, p, rep), rep.A, rep.B)
+    return -1 - _class_trace(_unit_class(m, p, rep), rep.A, rep.B)
 
 
 def vp_2a(a, p: int) -> VpBreakdown:
@@ -155,7 +155,7 @@ def vp_2a(a, p: int) -> VpBreakdown:
     a = _nonzero_residue(a, p)
     rep = _cached_a3b(p)
     c = _unit_class(a, p, rep)
-    v = _div3(2 * p - 1 + class_trace(c, rep.A, -rep.B))
+    v = _div3(2 * p - 1 + _class_trace(c, rep.A, -rep.B))
     return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
 
 
@@ -172,7 +172,7 @@ def vp_half_x2(a, p: int) -> int:
     if p % 3 == 2:
         return _div3(2 * p - 1)
     rep = _cached_a3b(p)
-    return _div3(2 * p - 1 + class_trace(_unit_class(a, p, rep), rep.A, rep.B))
+    return _div3(2 * p - 1 + _class_trace(_unit_class(a, p, rep), rep.A, rep.B))
 
 
 def a_from_count(p: int, v2: int) -> int:
@@ -201,7 +201,7 @@ def _cor24_value(p: int, rep: QuadRep) -> int:
     from cubic_class, so vp_cor24 still compares two independent routes.
     """
     c = tuple(CubicClass)[rep.B % 3]
-    return _div3(2 * p - 1 + class_trace(c, rep.A, rep.B))
+    return _div3(2 * p - 1 + _class_trace(c, rep.A, rep.B))
 
 
 def vp_cor24(p: int) -> tuple[int, int]:

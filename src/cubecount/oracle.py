@@ -7,10 +7,13 @@ exhaustive sweeps into the thousands; it is imported on first use, inside
 the functions that build arrays, so the closed-form layers never load it.
 
 Two batched kernels answer a whole family at one prime: ``family_counts``
-enumerates x^2 + a/x for every a at once, and ``jacobsthal_all`` gets every
-Jacobsthal sum by correlating the cube histogram with the Legendre symbols.
-They only enumerate or correlate; like the per-parameter oracles, they
-never use cubic-class theory or a closed-form identity.  Only
+enumerates x^2 + a/x for every a at once, walking the units in the order
+of the powers of a primitive root so that a/x is a window of one power
+table and each cell costs one add and one scatter, and ``jacobsthal_all``
+gets every Jacobsthal sum by correlating the cube histogram with the
+Legendre symbols.  They only enumerate or correlate; indexing the units by
+a primitive root is an order of enumeration, and like the per-parameter
+oracles they never use cubic-class theory or a closed-form identity.  Only
 family_counts is cached per prime; nothing else here is read twice.
 """
 
@@ -111,10 +114,12 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     """Count distinct values of f over the domain, by enumeration.
 
     Denominator zeros are skipped; if every point is one, EmptyDomain is
-    raised.  O(p) time; p bytes plus one block of BRUTE_BLOCK points, on
-    top of the cached inverse table.  The modulus is capped where int64
-    products stop being exact (~3.0e9); enumeration is impractical long
-    before that.
+    raised.  A constant denominator d is folded into the numerator's
+    coefficients as d^(-1) mod p, so a polynomial needs no inverse table.
+    O(p) time; p bytes plus one block of BRUTE_BLOCK points, on top of the
+    cached inverse table for a non-constant denominator.  The modulus is
+    capped where int64 products stop being exact (~3.0e9); enumeration is
+    impractical long before that.
     """
     import numpy as np
 
@@ -123,19 +128,29 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
         raise ValueError(f"f must be a RationalMap, got {f!r}")
     if not isinstance(domain, Domain):
         raise ValueError(f"domain must be a Domain, got {domain!r}")
-    inv = _tables.inv_table(p)
+    inv = None
+    if len(f.denominator) > 1:
+        inv = _tables.inv_table(p)
+    elif f.denominator[0] % p == 0:
+        raise EmptyDomain(f"denominator vanishes on the whole domain mod {p}")
+    else:
+        d_inv = pow(f.denominator[0], -1, p)
+        poly = tuple(c * d_inv for c in f.numerator)
     seen = np.zeros(p, dtype=bool)
     for lo in range(0 if domain is Domain.ALL else 1, p, BRUTE_BLOCK):
         xs = np.arange(lo, min(lo + BRUTE_BLOCK, p), dtype=np.int64)
-        num = _eval_poly(f.numerator, xs, p)
-        den = _eval_poly(f.denominator, xs, p)
-        ok = den != 0
-        if not ok.all():
-            num = num[ok]
-            den = den[ok]
-        vals = inv[den]
-        vals *= num
-        vals %= p
+        if inv is None:
+            vals = _eval_poly(poly, xs, p)
+        else:
+            num = _eval_poly(f.numerator, xs, p)
+            den = _eval_poly(f.denominator, xs, p)
+            ok = den != 0
+            if not ok.all():
+                num = num[ok]
+                den = den[ok]
+            vals = inv[den]
+            vals *= num
+            vals %= p
         seen[vals] = True
     # every point off the denominator's zeros marks one value
     v = int(np.count_nonzero(seen))
@@ -144,42 +159,58 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     return CountResult(v, seen if want_bitmap else None)
 
 
-#: Bytes family_counts holds per block of rows a: the int64 values of the
-#: block and its attainment bitmap, 9 bytes per (a, x) cell, both allocated
-#: once per call and reused by every block.
-FAMILY_BLOCK_BYTES = 256 * 1024
+#: Bytes family_counts holds per block of rows a, 18 per (a, x) cell: the
+#: int64 values (8), the int64 squares shifted into each row's slot of the
+#: bitmap (8) and the 2p-wide attainment bitmap (2).  All three are
+#: allocated once per call; a 1 MiB block still fits in a core's L2.
+FAMILY_BLOCK_BYTES = 1 << 20
 
 
 @_tables.per_prime
 def family_counts(p: int) -> np.ndarray:
     """V[a] = number of distinct values of x^2 + a/x over the units x.
 
-    All p rows a in [0, p) by enumeration, a block of rows at a time:
-    x^2 + a * x^(-1) is scattered into a (rows, p) bitmap, and each row is
-    counted.  O(p^2) time; memory is O(p) plus FAMILY_BLOCK_BYTES (one row
-    per block at least).  The read-only result is cached per prime.
+    All p rows a in [0, p) by enumeration, with the units taken in the
+    order of a primitive root g: pw[k] = g^k (_tables.unit_powers).  For
+    x = g^(-i) and a = g^j, a/x = pw[(i + j) mod (p - 1)], so row j reads
+    a window of the doubled pw, a view with nothing computed, and x^2 =
+    pw[-2i mod (p - 1)] is one gather per prime.  A row is then one add of
+    two residues below p, scattered into a 2p-wide bitmap whose halves are
+    OR-ed and counted into V[pw[j]]; row a = 0 is the bitmap of the squares
+    alone.  Every (a, x) cell is still written: the same enumeration in
+    another order, with no multiply or % per cell.  O(p^2) time; memory is
+    O(p) plus FAMILY_BLOCK_BYTES (one row per block at least).  The
+    read-only result is cached per prime.
     """
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
-    xs = np.arange(1, p, dtype=np.int64)
-    sq = xs * xs % p
-    inv = _tables.inv_table(p)[1:]
-    rows = max(1, FAMILY_BLOCK_BYTES // (9 * p))
-    shift = np.arange(0, rows * p, p, dtype=np.int64)[:, None]
-    vals = np.empty((rows, p - 1), dtype=np.int64)
-    seen = np.empty((rows, p), dtype=bool)
+    n_units = p - 1
+    pw = _tables.unit_powers(p)
+    k = np.arange(0, -2 * n_units, -2, dtype=np.int64)
+    k %= n_units
+    sq = pw[k]
     counts = np.empty(p, dtype=np.int64)
-    for lo in range(0, p, rows):
-        n = min(rows, p - lo)
+    squares = np.zeros(p, dtype=bool)
+    squares[sq] = True
+    counts[0] = np.count_nonzero(squares)
+    # window j of the doubled powers is a/x over the units x, row a = g^j
+    quotients = sliding_window_view(np.concatenate((pw, pw)), n_units)
+    rows = min(n_units, max(1, FAMILY_BLOCK_BYTES // (18 * n_units)))
+    # row r of the squares, shifted to start row r of the bitmap
+    shifted = np.arange(0, rows * 2 * p, 2 * p, dtype=np.int64)[:, None] + sq
+    vals = np.empty((rows, n_units), dtype=np.int64)
+    seen = np.empty((rows, 2 * p), dtype=bool)
+    for lo in range(0, n_units, rows):
+        n = min(rows, n_units - lo)
         v, s = vals[:n], seen[:n]
-        # v[i, x] = (x^2 + (lo + i) / x) mod p, shifted into row i of s
-        np.multiply.outer(np.arange(lo, lo + n, dtype=np.int64), inv, out=v)
-        v += sq
-        v %= p
-        v += shift[:n]
+        # v[r, i] = x^2 + a/x in [0, 2p), in row r of s
+        np.add(quotients[lo : lo + n], shifted[:n], out=v)
         s.fill(False)
         s.ravel()[v.ravel()] = True
-        counts[lo : lo + n] = np.count_nonzero(s, axis=1)
+        low = s[:, :p]
+        np.logical_or(low, s[:, p:], out=low)
+        counts[pw[lo : lo + n]] = np.count_nonzero(low, axis=1)
     return counts
 
 

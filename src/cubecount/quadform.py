@@ -190,15 +190,6 @@ def _unit_class(a: int, p: int, rep: QuadRep) -> CubicClass:
     return cls
 
 
-#: t = alpha A + beta B for each class: the trace of w (A + B sqrt(-3)),
-#: with w the cube root of unity the class names.
-_TRACE = {
-    CubicClass.UNIT: (2, 0),
-    CubicClass.PLUS: (-1, 3),
-    CubicClass.MINUS: (-1, -3),
-}
-
-
 def class_trace(c: CubicClass, a: int, b: int) -> int:
     """t(c) = 2A, -A + 3B or -A - 3B for UNIT, PLUS or MINUS, at A = a, B = b.
 
@@ -206,11 +197,23 @@ def class_trace(c: CubicClass, a: int, b: int) -> int:
     B -> -B, so the conjugate class is class_trace(c, a, -b).  A c that is
     no CubicClass is a ValueError; a and b are checked with check_int.
     """
-    try:
-        alpha, beta = _TRACE[c]
-    except (KeyError, TypeError):
-        raise ValueError(f"c must be a CubicClass, got {c!r}") from None
-    return alpha * check_int("a", a) + beta * check_int("b", b)
+    if not isinstance(c, CubicClass):
+        raise ValueError(f"c must be a CubicClass, got {c!r}")
+    return _class_trace(c, check_int("a", a), check_int("b", b))
+
+
+# the members by module global: an identity test against one is cheaper
+# than CubicClass.UNIT or a dict keyed on members (Enum hashes in Python)
+_UNIT, _PLUS = CubicClass.UNIT, CubicClass.PLUS
+
+
+def _class_trace(c: CubicClass, a: int, b: int) -> int:
+    # class_trace for a caller whose c is a computed CubicClass and whose a
+    # and b are the checked fields of a QuadRep: the trace of w (A + B
+    # sqrt(-3)), with w the cube root of unity that c names.
+    if c is _UNIT:
+        return 2 * a
+    return -a + 3 * b if c is _PLUS else -a - 3 * b
 
 
 def l_from_ab(p: int, rep: QuadRep) -> int:
@@ -221,7 +224,7 @@ def l_from_ab(p: int, rep: QuadRep) -> int:
         2^((p-1)/3) = (-1 + A/B)/2  ->  L = A - 3B
     """
     _require_rep(p, rep)
-    return -class_trace(_unit_class(2, p, rep), rep.A, rep.B)
+    return -_class_trace(_unit_class(2, p, rep), rep.A, rep.B)
 
 
 def two_class_is_b_mult3(p: int, rep: QuadRep) -> bool:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubecount import _tables
+from cubecount import _tables, oracle
 from cubecount.cubicres import count_t_preimages, h_set, in_c0, t_preimage_counts
 from cubecount.errors import CompositeModulus, EmptyDomain, InternalInconsistency, ZeroArgument
 from cubecount.modarith import inv_mod, legendre
@@ -339,8 +339,8 @@ def test_batched_oracles_match_per_parameter_oracles():
     # both classes mod 3; 701 and 1009 span several row blocks of the family
     # table, the last one partial
     for p in (701, 1009):
-        rows = FAMILY_BLOCK_BYTES // (9 * p)
-        assert 1 < rows < p and p % rows != 0
+        rows = FAMILY_BLOCK_BYTES // (18 * (p - 1))
+        assert 1 < rows < p - 1 and (p - 1) % rows != 0
     for p in (5, 7, 11, 13, 31, 37, 701, 1009):
         counts = family_counts(p)
         assert counts.shape == (p,) and not counts.flags.writeable
@@ -350,6 +350,47 @@ def test_batched_oracles_match_per_parameter_oracles():
         assert sums.shape == (p,) and sums[0] == 0
         for m in range(1, p):
             assert sums[m] == jacobsthal_brute(m, p)
+
+
+def family_by_sets(p: int) -> list[int]:
+    """V[a] for every a in [0, p), as the size of a pure-python set of values."""
+    units = [(x * x % p, pow(x, -1, p)) for x in range(1, p)]
+    return [len({(sq + a * inv) % p for sq, inv in units}) for a in range(p)]
+
+
+@pytest.mark.parametrize("p", primes_upto(199) + [701, 1009])
+def test_family_counts_equal_a_set_count_at_every_a(p):
+    assert family_counts(p).tolist() == family_by_sets(p)
+
+
+def test_family_counts_one_row_per_block(monkeypatch):
+    # a block too small for two rows still holds one
+    p = 31
+    monkeypatch.setattr(oracle, "FAMILY_BLOCK_BYTES", 1)
+    assert family_counts.__wrapped__(p).tolist() == family_by_sets(p)
+
+
+def test_a_polynomial_count_builds_no_inverse_table():
+    # a constant denominator is folded into the coefficients; a zero one
+    # still leaves no point to count
+    _tables.inv_table.cache_clear()
+    for p in primes_upto(101):
+        for a1, a2, a3 in ((0, 0, 0), (1, 2, 3), (-5, 7, 11), (p - 1, 3, -2)):
+            cubic = [(x**3 + a1 * x * x + a2 * x + a3) % p for x in range(p)]
+            for domain, lo in ((Domain.ALL, 0), (Domain.NONZERO, 1)):
+                count = vp_brute(RationalMap.cubic(a1, a2, a3), p, domain, want_bitmap=True)
+                assert set(np.flatnonzero(count.attained)) == set(cubic[lo:])
+                half = RationalMap((a3, a2, a1, 1), (2,))
+                if p == 2:
+                    with pytest.raises(EmptyDomain):
+                        vp_brute(half, p, domain)
+                else:
+                    # the values themselves: a count alone would not see a
+                    # missing 1/2, since scaling by a unit keeps the count
+                    halves = {c * pow(2, -1, p) % p for c in cubic[lo:]}
+                    count = vp_brute(half, p, domain, want_bitmap=True)
+                    assert set(np.flatnonzero(count.attained)) == halves
+    assert _tables.inv_table.cache_info().misses == 0
 
 
 def test_jacobsthal_all_refuses_an_inexact_transform(monkeypatch):

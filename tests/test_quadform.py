@@ -136,6 +136,15 @@ def test_class_trace_refuses_a_class_that_is_no_cubic_class(c):
     assert quadform.class_trace(CubicClass.UNIT, 1, 2) == 2
 
 
+def test_unchecked_trace_equals_class_trace():
+    for p in (7, 13, 1489):
+        rep = represent_a3b(p)
+        A, B = rep.A, rep.B
+        want = {CubicClass.UNIT: 2 * A, CubicClass.PLUS: -A + 3 * B, CubicClass.MINUS: -A - 3 * B}
+        for c in CubicClass:
+            assert quadform._class_trace(c, A, B) == quadform.class_trace(c, A, B) == want[c]
+
+
 def test_a_failed_descent_raises_from_quadrep(monkeypatch):
     # QuadRep is the descent's only check: a wrong B must not come back
     monkeypatch.setattr(quadform, "isqrt", lambda n: math.isqrt(n) + 1)
