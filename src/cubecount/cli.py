@@ -4,7 +4,7 @@ Subcommands: eval, represent, classify, sweep, selftest.  Records go to
 stdout, one JSON object per line (or CSV with a header); progress and
 timing go to stderr so stdout is byte-identical for a given input whatever
 the --jobs setting.  Exit codes: 0 ok, 1 mathematical mismatch, 2 bad
-usage or input.
+usage or input, or an allocation that failed (MemoryError).
 """
 
 from __future__ import annotations
@@ -85,8 +85,6 @@ def cmd_eval(args) -> int:
 
 def cmd_represent(args) -> int:
     p = _parse_p(args.p)
-    if p % 3 != 1:
-        raise ValueError(f"p = {p} has no such representations (p != 1 mod 3)")
     quad = represent_a3b(p)
     eis = represent_l27m(p)
     _emit(
@@ -246,7 +244,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CubecountError, ValueError) as exc:
+    except (CubecountError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,7 +7,7 @@ count is decided by the cubic class of 2a^2, and the companion families
 x^2 + 2a/x and x + a/(2x^2) by the class of a itself.  Each case is
 (2p - 1 + t)/3 with t = quadform.class_trace of the keyed class: 2A,
 -A + 3B or -A - 3B.  All case numerators are divisible by 3; that
-divisibility is asserted, never rounded.
+divisibility is checked by _exact_div, never rounded.
 
 Every public function here that takes a modulus p checks it first with
 modarith.checked_prime, so a composite p raises CompositeModulus instead of
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._tables import check_int
+from ._tables import MAX_ENUM_PRIME, check_int
 from .errors import InternalInconsistency, NonIntegerResult, WrongResidueClass
 from .modarith import _nonzero_residue, checked_prime, inv_mod
 from .quadform import (
@@ -53,9 +53,9 @@ __all__ = [
 class VpBreakdown:
     """A closed-form count together with the case that produced it.
 
-    path_case is "2mod3" when p = 2 (mod 3) and the class tag otherwise;
-    key_class is the cubic class of the keyed quantity (2a^2 for the main
-    family, a itself for the 2a family).  A and B are None for p = 2 (mod 3).
+    path_case is "2mod3" when p = 2 (mod 3) and otherwise the value of the
+    CubicClass of the keyed quantity (2a^2 for the main family, a itself
+    for the 2a family).  A and B are None for p = 2 (mod 3).
     """
 
     v: int
@@ -64,13 +64,13 @@ class VpBreakdown:
     a: int
     A: int | None = None
     B: int | None = None
-    key_class: CubicClass | None = None
 
 
-def _div3(num: int) -> int:
-    q, r = divmod(num, 3)
+def _exact_div(num: int, d: int) -> int:
+    """num // d, or NonIntegerResult when d does not divide num."""
+    q, r = divmod(num, d)
     if r:
-        raise NonIntegerResult(f"{num} is not divisible by 3")
+        raise NonIntegerResult(f"{num} is not divisible by {d}")
     return q
 
 
@@ -97,11 +97,11 @@ def vp_closed(a, p: int) -> VpBreakdown:
     p = checked_prime(p)
     a = _nonzero_residue(a, p)
     if p % 3 == 2:
-        return VpBreakdown(_div3(2 * p - 1), "2mod3", p, a)
+        return VpBreakdown(_exact_div(2 * p - 1, 3), "2mod3", p, a)
     rep = _cached_a3b(p)
     c = _unit_class(2 * a * a % p, p, rep)
-    v = _div3(2 * p - 1 + _class_trace(c, rep.A, rep.B))
-    return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
+    v = _exact_div(2 * p - 1 + _class_trace(c, rep.A, rep.B), 3)
+    return VpBreakdown(v, c.value, p, a, rep.A, rep.B)
 
 
 def vp_from_jacobsthal(phi: int, p: int) -> int:
@@ -118,10 +118,7 @@ def vp_from_jacobsthal(phi: int, p: int) -> int:
     phi = check_int("phi", phi)
     x3 = chi3(p)
     v6 = 4 * (p - x3) + (x3 - 1) + (1 - 3 * x3) * phi
-    q, r = divmod(v6, 6)
-    if r:
-        raise NonIntegerResult(f"{v6} is not divisible by 6")
-    return q
+    return _exact_div(v6, 6)
 
 
 def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
@@ -155,8 +152,8 @@ def vp_2a(a, p: int) -> VpBreakdown:
     a = _nonzero_residue(a, p)
     rep = _cached_a3b(p)
     c = _unit_class(a, p, rep)
-    v = _div3(2 * p - 1 + _class_trace(c, rep.A, -rep.B))
-    return VpBreakdown(v, c.value, p, a, rep.A, rep.B, c)
+    v = _exact_div(2 * p - 1 + _class_trace(c, rep.A, -rep.B), 3)
+    return VpBreakdown(v, c.value, p, a, rep.A, rep.B)
 
 
 def vp_half_x2(a, p: int) -> int:
@@ -170,9 +167,9 @@ def vp_half_x2(a, p: int) -> int:
     p = checked_prime(p)
     a = _nonzero_residue(a, p)
     if p % 3 == 2:
-        return _div3(2 * p - 1)
+        return _exact_div(2 * p - 1, 3)
     rep = _cached_a3b(p)
-    return _div3(2 * p - 1 + _class_trace(_unit_class(a, p, rep), rep.A, rep.B))
+    return _exact_div(2 * p - 1 + _class_trace(_unit_class(a, p, rep), rep.A, rep.B), 3)
 
 
 def a_from_count(p: int, v2: int) -> int:
@@ -180,10 +177,7 @@ def a_from_count(p: int, v2: int) -> int:
     p = checked_prime(p)
     _require_1mod3(p)
     v2 = check_int("v2", v2)
-    t = 3 * v2 + 1
-    if t % 2:
-        raise NonIntegerResult(f"(3*{v2} + 1)/2 is not an integer")
-    return t // 2 - p
+    return _exact_div(3 * v2 + 1, 2) - p
 
 
 def l_from_count(p: int, v1: int) -> int:
@@ -201,7 +195,7 @@ def _cor24_value(p: int, rep: QuadRep) -> int:
     from cubic_class, so vp_cor24 still compares two independent routes.
     """
     c = tuple(CubicClass)[rep.B % 3]
-    return _div3(2 * p - 1 + _class_trace(c, rep.A, rep.B))
+    return _exact_div(2 * p - 1 + _class_trace(c, rep.A, rep.B), 3)
 
 
 def vp_cor24(p: int) -> tuple[int, int]:
@@ -233,19 +227,22 @@ def von_sterneck_value(p: int) -> int:
     (2p + (p/3))/3, independent of the coefficients (von Sterneck).
     """
     p = checked_prime(p)
-    return _div3(2 * p + chi3(p))
+    return _exact_div(2 * p + chi3(p), 3)
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
     """Binomial coefficient C(n, k) mod p for 0 <= k <= n < p.
 
     Multiplicative O(k) evaluation: the rising product over the numerator
-    against k! in the denominator, both mod p.
+    against k! in the denominator, both mod p.  A k above MAX_ENUM_PRIME,
+    the cap of every O(p) entry point, raises ValueError.
     """
     p = checked_prime(p)
     n, k = check_int("n", n), check_int("k", k)
     if k < 0 or k > n:
         return 0
+    if k > MAX_ENUM_PRIME:
+        raise ValueError(f"k = {k} is above the cap {MAX_ENUM_PRIME} of an O(k) product")
     num = den = 1
     for i in range(1, k + 1):
         num = num * ((n - k + i) % p) % p
@@ -259,10 +256,13 @@ def jacobi_check(p: int) -> tuple[bool, bool]:
         A = (1/2) C((p-1)/2, (p-1)/6)   (mod p)
         L = -C(2(p-1)/3, (p-1)/3)       (mod p)
 
-    Returns (A holds, L holds).
+    Returns (A holds, L holds).  The binomials are O(p) products, so a p
+    above MAX_ENUM_PRIME raises ValueError.
     """
     p = checked_prime(p)
     _require_1mod3(p)
+    if p > MAX_ENUM_PRIME:
+        raise ValueError(f"p = {p} is above the cap {MAX_ENUM_PRIME} of an O(p) product")
     rep = _cached_a3b(p)
     eis = represent_l27m(p)
     k = (p - 1) // 3

@@ -20,7 +20,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "CubicClass",
     "count_t_preimages",
     "cubic_class",
     "h_set",

@@ -117,11 +117,28 @@ def test_eval_mismatch_exits_1(capsys, monkeypatch):
     assert json.loads(out)["match"] is False
 
 
+def test_eval_allocation_failure_exits_2(capsys, monkeypatch):
+    # numpy's "Unable to allocate" error is a MemoryError, not a mismatch
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.9 GiB")
+
+    monkeypatch.setattr("cubecount.cli.vp_brute", refuse)
+    code, out, err = run_cli(capsys, "eval", "--p", "7", "--a", "2", "--check")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_represent(capsys):
     code, out, _ = run_cli(capsys, "represent", "--p", "13")
     assert code == 0
     assert json.loads(out) == {"p": 13, "A": 1, "B": 2, "L": -5, "M": 1}
     assert run_cli(capsys, "represent", "--p", "11")[0] == 2
+
+
+def test_represent_2mod3_prime_is_refused_by_the_descent(capsys):
+    code, out, err = run_cli(capsys, "represent", "--p", "11")
+    assert code == 2 and out == ""
+    assert err == "error: p = 11 is not 1 (mod 3)\n"
 
 
 def test_classify(capsys):

@@ -20,7 +20,7 @@ from cubecount.closedform import (
     vp_from_jacobsthal,
     vp_half_x2,
 )
-from cubecount.cubicres import CubicClass, cubic_class, in_c0, is_cubic_residue, k_map, t_map
+from cubecount.cubicres import cubic_class, in_c0, is_cubic_residue, k_map, t_map
 from cubecount.errors import (
     CompositeModulus,
     CubecountError,
@@ -54,10 +54,9 @@ def test_vp_closed_breakdown_fields():
     b = vp_closed(2, 7)
     assert (b.p, b.a, b.A, b.B) == (7, 2, -2, 1)
     assert b.path_case == "unit"
-    assert b.key_class is CubicClass.UNIT
     b = vp_closed(1, 5)
     assert b.path_case == "2mod3"
-    assert b.A is None and b.B is None and b.key_class is None
+    assert b.A is None and b.B is None
 
 
 def test_vp_closed_matches_enumeration():
@@ -183,7 +182,10 @@ def test_divisibility_guards_raise():
     with pytest.raises(NonIntegerResult, match="22 is not divisible by 6"):
         vp_from_jacobsthal(1, 7)
     with pytest.raises(NonIntegerResult, match="7 is not divisible by 3"):
-        closedform._div3(7)
+        closedform._exact_div(7, 3)
+    # a_from_count's halving goes through the same guard: 3*2 + 1 is odd
+    with pytest.raises(NonIntegerResult, match="7 is not divisible by 2"):
+        a_from_count(7, 2)
 
 
 def test_vp_cor24_refuses_routes_that_disagree(monkeypatch):
@@ -237,6 +239,20 @@ def test_jacobi_check_examples_and_sweep():
         assert jacobi_check(p) == (True, True)
     with pytest.raises(WrongResidueClass):
         jacobi_check(5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: jacobi_check(2**61 - 1), id="jacobi_check"),
+        pytest.param(lambda: binom_mod(2**61 - 2, 2**60, 2**61 - 1), id="binom_mod"),
+    ],
+)
+def test_binomial_products_refuse_a_prime_above_the_cap(call):
+    # 2^61 - 1 is prime and 1 (mod 3); an O(p) product there would not end
+    with time_limit(2):
+        with pytest.raises(ValueError, match="above the cap"):
+            call()
 
 
 def test_composite_moduli_raise_promptly():

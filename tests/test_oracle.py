@@ -85,6 +85,13 @@ def test_vp_brute_empty_domain_and_cap():
         vp_brute(RationalMap((0, 1), (1,)), 3_100_000_000, Domain.ALL)
 
 
+@pytest.mark.parametrize("domain", list(Domain))
+def test_vp_brute_denominator_vanishing_everywhere_is_empty(domain):
+    # x^5 - x is zero at every x mod 5, so 1/(x^5 - x) has no point to count
+    with pytest.raises(EmptyDomain):
+        vp_brute(RationalMap((1,), (0, -1, 0, 0, 0, 1)), 5, domain)
+
+
 def test_inv_table_inverts_every_unit():
     for p in primes_upto(2000):
         inv = _tables.inv_table(p)
