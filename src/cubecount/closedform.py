@@ -10,8 +10,8 @@ x^2 + 2a/x and x + a/(2x^2) by the class of a itself.  Each case is
 divisibility is checked by _exact_div, never rounded.
 
 Every public function here that takes a modulus p checks it first with
-modarith.checked_prime, so a composite p raises CompositeModulus instead of
-giving a meaningless count.
+modarith.checked_prime (through quadform._require_1mod3 where p = 1 mod 3
+is required), so a composite p raises CompositeModulus, not a meaningless count.
 """
 
 from __future__ import annotations
@@ -147,8 +147,7 @@ def vp_2a(a, p: int) -> VpBreakdown:
     swap relative to vp_closed, and the top case (2p - 1 + 2A)/3 occurs
     iff a is a cubic residue.  Always equals vp_closed(2a mod p, p).v.
     """
-    p = checked_prime(p)
-    _require_1mod3(p)
+    p = _require_1mod3(p)
     a = _nonzero_residue(a, p)
     rep = _cached_a3b(p)
     c = _unit_class(a, p, rep)
@@ -174,16 +173,14 @@ def vp_half_x2(a, p: int) -> int:
 
 def a_from_count(p: int, v2: int) -> int:
     """Invert the count of x^2 + 2/x: A = (3 v2 + 1)/2 - p."""
-    p = checked_prime(p)
-    _require_1mod3(p)
+    p = _require_1mod3(p)
     v2 = check_int("v2", v2)
     return _exact_div(3 * v2 + 1, 2) - p
 
 
 def l_from_count(p: int, v1: int) -> int:
     """Invert the count of x^2 + 1/x: L = 2p - 1 - 3 v1."""
-    p = checked_prime(p)
-    _require_1mod3(p)
+    p = _require_1mod3(p)
     v1 = check_int("v1", v1)
     return 2 * p - 1 - 3 * v1
 
@@ -206,8 +203,7 @@ def vp_cor24(p: int) -> tuple[int, int]:
     evaluations are computed independently and must agree with the
     formula; a mismatch raises.
     """
-    p = checked_prime(p)
-    _require_1mod3(p)
+    p = _require_1mod3(p)
     rep = _cached_a3b(p)
     want = _cor24_value(p, rep)
     via_x2 = vp_closed(4 % p, p).v
@@ -231,16 +227,18 @@ def von_sterneck_value(p: int) -> int:
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
-    """Binomial coefficient C(n, k) mod p for 0 <= k <= n < p.
+    """Binomial coefficient C(n, k) mod p; 0 unless 0 <= k <= n.
 
-    Multiplicative O(k) evaluation: the rising product over the numerator
-    against k! in the denominator, both mod p.  A k above MAX_ENUM_PRIME,
-    the cap of every O(p) entry point, raises ValueError.
+    One step of Lucas' theorem when k >= p, then a multiplicative O(k)
+    product: the numerator's terms against k! (a unit), both mod p.  A k
+    above MAX_ENUM_PRIME, the cap of every O(p) entry point, raises ValueError.
     """
     p = checked_prime(p)
     n, k = check_int("n", n), check_int("k", k)
     if k < 0 or k > n:
         return 0
+    if k >= p:
+        return binom_mod(n // p, k // p, p) * binom_mod(n % p, k % p, p) % p
     if k > MAX_ENUM_PRIME:
         raise ValueError(f"k = {k} is above the cap {MAX_ENUM_PRIME} of an O(k) product")
     num = den = 1
@@ -259,8 +257,7 @@ def jacobi_check(p: int) -> tuple[bool, bool]:
     Returns (A holds, L holds).  The binomials are O(p) products, so a p
     above MAX_ENUM_PRIME raises ValueError.
     """
-    p = checked_prime(p)
-    _require_1mod3(p)
+    p = _require_1mod3(p)
     if p > MAX_ENUM_PRIME:
         raise ValueError(f"p = {p} is above the cap {MAX_ENUM_PRIME} of an O(p) product")
     rep = _cached_a3b(p)

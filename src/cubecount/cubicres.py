@@ -38,7 +38,7 @@ def cubic_class(a: int, p: int, rep: QuadRep) -> CubicClass:
     non-unit class is PLUS; it must be the rep of p.  Only defined for
     p = 1 (mod 3).  a is reduced by as_residue, so a float is a ValueError.
     """
-    _require_rep(p, rep)
+    p = _require_rep(p, rep)
     return _unit_class(_nonzero_residue(a, p), p, rep)
 
 

@@ -35,17 +35,20 @@ __all__ = [
 ]
 
 
-def _require_1mod3(p: int) -> None:
-    if p % 3 != 1:
+def _require_1mod3(p) -> int:
+    """p as checked_prime returns it; WrongResidueClass unless p = 1 (mod 3)."""
+    if (p := checked_prime(p)) % 3 != 1:
         raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
+    return p
 
 
-def _require_rep(p: int, rep: QuadRep) -> None:
-    """p = 1 (mod 3), and rep is the QuadRep of p itself: MissingRep for
-    None, for anything that is no QuadRep, and for the rep of another prime."""
-    _require_1mod3(p)
+def _require_rep(p, rep: QuadRep) -> int:
+    """p as _require_1mod3 returns it, once rep is the QuadRep of p itself:
+    MissingRep for None, for anything that is no QuadRep, for another p's rep."""
+    p = _require_1mod3(p)
     if not (isinstance(rep, QuadRep) and rep.p == p):
         raise MissingRep(f"a QuadRep of p = {p} is required, got {rep!r}")
+    return p
 
 
 def _check_form(rep, xname: str, yname: str, d: int, k: int) -> None:
@@ -98,8 +101,7 @@ def represent_a3b(p: int) -> QuadRep:
     five.  p is validated first, so a composite raises CompositeModulus;
     QuadRep checks the result, so a descent gone wrong is InternalInconsistency.
     """
-    p = checked_prime(p)
-    _require_1mod3(p)
+    p = _require_1mod3(p)
     g = 2
     while (w := pow(g, (p - 1) // 3, p)) == 1:
         g += 1
@@ -121,17 +123,13 @@ def _cached_a3b(p: int) -> QuadRep:
 def represent_l27m(p: int) -> EisRep:
     """The unique EisRep of a prime p = 1 (mod 3): 4p = L^2 + 27M^2.
 
-    Derived from the QuadRep: B mod 3 picks the one candidate with integral
-    M, and EisRep checks it.
+    Derived from the QuadRep: L is minus the trace of the class of 2, which
+    -B mod 3 names (see CubicClass).  4p - L^2 is 12B^2 or 3(A +- B)^2, never
+    negative, and EisRep checks the M its root gives.
     """
     rep = represent_a3b(p)
-    a, b = rep.A, rep.B
-    r = b % 3
-    if r == 0:
-        return EisRep(-2 * a, 2 * b // 3, p)
-    if r == 1:
-        return EisRep(a + 3 * b, abs(a - b) // 3, p)
-    return EisRep(a - 3 * b, abs(a + b) // 3, p)
+    L = -_class_trace(tuple(CubicClass)[-rep.B % 3], rep.A, rep.B)
+    return EisRep(L, isqrt((4 * rep.p - L * L) // 27), rep.p)
 
 
 def class_value_targets(p: int, rep: QuadRep) -> tuple[int, int]:
@@ -140,7 +138,7 @@ def class_value_targets(p: int, rep: QuadRep) -> tuple[int, int]:
     plus = (-1 + A/B)/2 and minus = (-1 - A/B)/2; A/B is a square root of
     -3 mod p because A^2 = p - 3B^2.  For display; root_class needs neither.
     """
-    _require_rep(p, rep)
+    p = _require_rep(p, rep)
     ab = rep.A % p * inv_mod(rep.B, p) % p
     inv2 = (p + 1) // 2
     t_plus = (ab - 1) % p * inv2 % p
@@ -152,7 +150,8 @@ class CubicClass(Enum):
     """Which cube root of unity a^((p-1)/3) equals.
 
     The members are listed in the order of B mod 3 = 0, 1, 2 that picks the
-    class of 32 = 2 * 4^2 (closedform._cor24_value indexes them so).
+    class of 32 = 2 * 4^2 (closedform._cor24_value reads them so); -B mod 3
+    picks its conjugate, the class of 2 (represent_l27m reads them so).
     """
 
     UNIT = "unit"
@@ -167,7 +166,7 @@ def root_class(c: int, p: int, rep: QuadRep) -> CubicClass | None:
     tells PLUS from MINUS, with no inverse of B.  rep must be the rep of p,
     and c is checked with _tables.check_int.
     """
-    _require_rep(p, rep)
+    p = _require_rep(p, rep)
     c = check_int("c", c)
     return _root_class(c, p, rep) if 0 <= c < p else None
 
@@ -223,7 +222,7 @@ def l_from_ab(p: int, rep: QuadRep) -> int:
         2^((p-1)/3) = (-1 - A/B)/2  ->  L = A + 3B
         2^((p-1)/3) = (-1 + A/B)/2  ->  L = A - 3B
     """
-    _require_rep(p, rep)
+    p = _require_rep(p, rep)
     return -_class_trace(_unit_class(2, p, rep), rep.A, rep.B)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from math import isqrt
 
-from ._tables import check_int
+from ._tables import MAX_ENUM_PRIME, check_int
 from .closedform import (
     _cor24_value,
     a_from_count,
@@ -62,9 +62,11 @@ class SweepReport:
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi], by sieve."""
+    """Primes in [lo, hi], by sieve, for hi up to MAX_ENUM_PRIME."""
     import numpy as np
 
+    if hi > MAX_ENUM_PRIME:
+        raise ValueError(f"hi = {hi} is too large for array enumeration (limit {MAX_ENUM_PRIME})")
     if hi < 2:
         return []
     sieve = np.ones(hi + 1, dtype=bool)
@@ -112,7 +114,7 @@ def check_cor21(p: int):
     """Companion family x^2 + 2a/x vs vp_2a, plus the cube criterion."""
     if p % 3 != 1:
         return 0, []
-    top = (2 * p - 1 + 2 * _cached_a3b(p).A) // 3
+    top = vp_2a(1, p).v  # the count of the cube class, 1 being a cube
     counts = family_counts(p).tolist()
 
     def triples():

@@ -224,10 +224,11 @@ def test_chi3():
 
 
 def test_binom_mod_matches_math_comb():
-    for p in (7, 13, 101, 997):
-        for n in range(0, min(p, 40)):
+    for p in (5, 7, 13, 101, 997):
+        for n in range(0, 40):
             for k in range(0, n + 1):
                 assert binom_mod(n, k, p) == math.comb(n, k) % p
+    assert binom_mod(10, 5, 5) == 2  # k >= p: a Lucas step, not k! = 0 mod p
     assert binom_mod(5, 7, 11) == 0
     assert binom_mod(10, -1, 11) == 0
 

@@ -15,10 +15,20 @@ import pytest
 
 from cubecount import _tables
 from cubecount.closedform import a_from_count, binom_mod, chi3, l_from_count, vp_from_jacobsthal
-from cubecount.cubicres import count_t_preimages, k_map, t_map
+from cubecount.cubicres import count_t_preimages, cubic_class, k_map, t_map
 from cubecount.modarith import Prime, as_residue, checked_prime, is_prime, legendre
 from cubecount.oracle import RationalMap, discriminant_cubic, jacobsthal_brute, np_cubic_roots
-from cubecount.quadform import CubicClass, EisRep, QuadRep, class_trace, represent_a3b, root_class
+from cubecount.quadform import (
+    CubicClass,
+    EisRep,
+    QuadRep,
+    class_trace,
+    class_value_targets,
+    l_from_ab,
+    represent_a3b,
+    root_class,
+    two_class_is_b_mult3,
+)
 from cubecount.sweep import run_sweep
 
 REP7 = represent_a3b(7)
@@ -32,6 +42,11 @@ GUARDED = {
     "as_residue-a": (lambda v: as_residue(v, 7), 9),
     "legendre-a": (lambda v: legendre(v, 7), 3),
     "root_class-c": (lambda v: root_class(v, 7, REP7), 2),
+    "root_class-p": (lambda v: root_class(2, v, REP7), 7),
+    "cubic_class-p": (lambda v: cubic_class(2, v, REP7), 7),
+    "class_value_targets-p": (lambda v: class_value_targets(v, REP7), 7),
+    "l_from_ab-p": (lambda v: l_from_ab(v, REP7), 7),
+    "two_class_is_b_mult3-p": (lambda v: two_class_is_b_mult3(v, REP7), 7),
     "QuadRep-A": (lambda v: QuadRep(v, 2, 13).A, 1),
     "QuadRep-B": (lambda v: QuadRep(1, v, 13).B, 2),
     "QuadRep-p": (lambda v: QuadRep(1, 2, v).p, 13),

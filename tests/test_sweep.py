@@ -2,6 +2,9 @@
 
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +30,37 @@ def test_primes_between():
     assert primes_between(5, 30) == [5, 7, 11, 13, 17, 19, 23, 29]
     assert primes_between(5, 4) == []
     assert primes_between(0, 1) == []
+
+
+# primes_between and run_sweep at a bound whose sieve would be 93 GiB, with
+# the address space capped at 3 GiB so that an allocation fails at once with
+# MemoryError; each must raise the enumeration cap's ValueError first.
+SWEEP_CAP_PROBE = """
+import resource
+import numpy  # loaded before the address space is capped
+from cubecount.sweep import primes_between, run_sweep
+
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+for call in (lambda: primes_between(5, 10**11), lambda: run_sweep(10**11, ["jacobi"])):
+    try:
+        call()
+        print("returned")
+    except MemoryError:
+        print("MemoryError")
+    except ValueError as exc:
+        print("ValueError" if "too large for array enumeration" in str(exc) else repr(exc))
+"""
+
+
+def test_sweep_bound_is_capped_before_the_sieve():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", SWEEP_CAP_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError", "ValueError"], proc.stdout
 
 
 def test_run_sweep_small_all_checks():
