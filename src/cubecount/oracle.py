@@ -15,6 +15,12 @@ Legendre symbols.  They only enumerate or correlate; indexing the units by
 a primitive root is an order of enumeration, and like the per-parameter
 oracles they never use cubic-class theory or a closed-form identity.  Only
 family_counts is cached per prime; nothing else here is read twice.
+
+The per-parameter oracles stream: vp_brute and jacobsthal_brute evaluate
+BRUTE_BLOCK points at a time, so each holds one p-byte array (the bitmap of
+attained values, or the int8 Legendre symbols) plus one block.  Their
+polynomials go through _eval_poly, which runs numpy's int64 %, by far the
+dearest step, only where a value can have reached p.
 """
 
 from __future__ import annotations
@@ -93,21 +99,50 @@ class CountResult:
     attained: np.ndarray | None = None
 
 
+#: Points x that the enumerating oracles evaluate at a time.  A block of
+#: vp_brute holds at most four int64 arrays of this length (x, numerator,
+#: denominator, value), 512 KiB, next to the p-byte bitmap of attained
+#: values; jacobsthal_brute holds two next to its p int8 symbols.
+BRUTE_BLOCK = 1 << 14
+
+
 def _eval_poly(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
+    """f(x) mod p for every x in xs (int64, each in [0, p)), by Horner.
+
+    bound is the largest value acc can hold, so acc %= p runs only when acc
+    can have reached p: before a multiply, which then never exceeds
+    (p - 1)^2 + (p - 1) < 2^63 up to MAX_ENUM_PRIME, and once at the end.
+    A leading coefficient 1 starts from xs itself and a zero coefficient adds
+    nothing; the result may be xs itself, so callers do not write into it.
+    """
     import numpy as np
 
-    acc = np.full(xs.shape, coeffs[-1] % p, dtype=np.int64)
-    for c in coeffs[-2::-1]:
-        acc *= xs
-        acc += c % p
+    lead, *rest = (c % p for c in reversed(coeffs))
+    if not rest:
+        return np.full(xs.shape, lead, dtype=np.int64)
+    acc = xs if lead == 1 else xs * lead
+    bound = lead * (p - 1)
+    for i, c in enumerate(rest):
+        if i:
+            if bound >= p:
+                acc %= p
+                bound = p - 1
+            acc = acc * xs if acc is xs else np.multiply(acc, xs, out=acc)
+            bound *= p - 1
+        if c:
+            acc = acc + c if acc is xs else np.add(acc, c, out=acc)
+            bound += c
+    if bound >= p:
         acc %= p
     return acc
 
 
-#: Points x that vp_brute evaluates at a time.  A block holds four int64
-#: arrays of this length (x, numerator, denominator, value), 512 KiB, next
-#: to the p-byte bitmap of attained values.
-BRUTE_BLOCK = 1 << 14
+def _blocks(lo: int, hi: int):
+    """np.arange(lo, hi) as int64, BRUTE_BLOCK points at a time."""
+    import numpy as np
+
+    for start in range(lo, hi, BRUTE_BLOCK):
+        yield np.arange(start, min(start + BRUTE_BLOCK, hi), dtype=np.int64)
 
 
 def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) -> CountResult:
@@ -137,8 +172,7 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
         d_inv = pow(f.denominator[0], -1, p)
         poly = tuple(c * d_inv for c in f.numerator)
     seen = np.zeros(p, dtype=bool)
-    for lo in range(0 if domain is Domain.ALL else 1, p, BRUTE_BLOCK):
-        xs = np.arange(lo, min(lo + BRUTE_BLOCK, p), dtype=np.int64)
+    for xs in _blocks(0 if domain is Domain.ALL else 1, p):
         if inv is None:
             vals = _eval_poly(poly, xs, p)
         else:
@@ -241,36 +275,34 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     return int(np.count_nonzero(vals == 0))
 
 
-def _symbols_and_cubes(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Legendre symbols (v/p) over v in [0, p) as int8, +1 exactly on the
-    nonzero squares (the definition, not Euler's criterion), and y^3 mod p
-    over y in [1, p)."""
+def _legendre_symbols(p: int) -> np.ndarray:
+    """The Legendre symbols (v/p) over v in [0, p) as int8: +1 exactly on the
+    nonzero squares (the definition, not Euler's criterion), scattered from
+    y^2 mod p a block at a time.  y runs to p // 2 only, since (p - y)^2 = y^2."""
     import numpy as np
 
-    y = np.arange(1, p, dtype=np.int64)
-    sq = y * y
-    sq %= p
     symbols = np.full(p, -1, dtype=np.int8)
     symbols[0] = 0
-    symbols[sq] = 1
-    sq *= y
-    sq %= p
-    return symbols, sq
+    for ys in _blocks(1, p // 2 + 1):
+        symbols[_eval_poly((0, 0, 1), ys, p)] = 1
+    return symbols
 
 
 def jacobsthal_brute(m: int, p: int) -> int:
     """The cubic Jacobsthal sum (m/p) * sum_{y=1}^{p-1} ((y^3 + m)/p).
 
-    Straight from the definition via the Legendre symbols.  Equals -1 for
-    every nonzero m when p = 2 (mod 3), and is bounded by 2*sqrt(p) + 1 in
-    absolute value.
+    Straight from the definition via the Legendre symbols, with y^3 + m
+    reduced mod p a block of BRUTE_BLOCK at a time: about 1 byte per residue
+    (the symbols) plus one block.  Equals -1 for every nonzero m when p = 2
+    (mod 3), and is bounded by 2*sqrt(p) + 1 in absolute value.
     """
     p = _tables.check_enumerable(p)
     m = _tables.check_int("m", m) % p
     if m == 0:
         raise ZeroArgument("m must be nonzero mod p")
-    symbols, cubes = _symbols_and_cubes(p)
-    return int(symbols[m]) * int(symbols[(cubes + m) % p].sum())
+    symbols = _legendre_symbols(p)
+    total = sum(int(symbols[_eval_poly((m, 0, 0, 1), ys, p)].sum()) for ys in _blocks(1, p))
+    return int(symbols[m]) * total
 
 
 def jacobsthal_all(p: int) -> np.ndarray:
@@ -286,7 +318,8 @@ def jacobsthal_all(p: int) -> np.ndarray:
     import numpy as np
 
     p = _tables.check_enumerable(p)
-    symbols, cubes = _symbols_and_cubes(p)
+    symbols = _legendre_symbols(p)
+    cubes = _eval_poly((0, 0, 0, 1), np.arange(1, p, dtype=np.int64), p)
     hist = np.bincount(cubes, minlength=p)
     sums = np.fft.irfft(np.fft.rfft(hist).conj() * np.fft.rfft(symbols), n=p)
     exact = np.rint(sums)

@@ -127,7 +127,8 @@ def represent_l27m(p: int) -> EisRep:
     -B mod 3 names (see CubicClass).  4p - L^2 is 12B^2 or 3(A +- B)^2, never
     negative, and EisRep checks the M its root gives.
     """
-    rep = represent_a3b(p)
+    # p first: the untyped cache would answer 13.0 from the entry for 13
+    rep = _cached_a3b(_require_1mod3(p))
     L = -_class_trace(tuple(CubicClass)[-rep.B % 3], rep.A, rep.B)
     return EisRep(L, isqrt((4 * rep.p - L * L) // 27), rep.p)
 

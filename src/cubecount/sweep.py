@@ -62,9 +62,10 @@ class SweepReport:
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi], by sieve, for hi up to MAX_ENUM_PRIME."""
+    """Primes in [lo, hi], by sieve, for integers lo and hi <= MAX_ENUM_PRIME."""
     import numpy as np
 
+    lo, hi = check_int("lo", lo), check_int("hi", hi)
     if hi > MAX_ENUM_PRIME:
         raise ValueError(f"hi = {hi} is too large for array enumeration (limit {MAX_ENUM_PRIME})")
     if hi < 2:

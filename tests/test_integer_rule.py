@@ -26,10 +26,11 @@ from cubecount.quadform import (
     class_value_targets,
     l_from_ab,
     represent_a3b,
+    represent_l27m,
     root_class,
     two_class_is_b_mult3,
 )
-from cubecount.sweep import run_sweep
+from cubecount.sweep import primes_between, run_sweep
 
 REP7 = represent_a3b(7)
 
@@ -47,6 +48,7 @@ GUARDED = {
     "class_value_targets-p": (lambda v: class_value_targets(v, REP7), 7),
     "l_from_ab-p": (lambda v: l_from_ab(v, REP7), 7),
     "two_class_is_b_mult3-p": (lambda v: two_class_is_b_mult3(v, REP7), 7),
+    "represent_l27m-p": (represent_l27m, 13),
     "QuadRep-A": (lambda v: QuadRep(v, 2, 13).A, 1),
     "QuadRep-B": (lambda v: QuadRep(1, v, 13).B, 2),
     "QuadRep-p": (lambda v: QuadRep(1, 2, v).p, 13),
@@ -73,6 +75,8 @@ GUARDED = {
     "binom_mod-k": (lambda v: binom_mod(5, v, 7), 2),
     "a_from_count-v2": (lambda v: a_from_count(7, v), 3),
     "l_from_count-v1": (lambda v: l_from_count(7, v), 4),
+    "primes_between-lo": (lambda v: primes_between(v, 30), 5),
+    "primes_between-hi": (lambda v: primes_between(5, v), 30),
     "run_sweep-max_p": (lambda v: run_sweep(v, ["jacobi"]).config["max_p"], 13),
     "run_sweep-jobs": (lambda v: run_sweep(13, ["jacobi"], jobs=v).config["jobs"], 1),
 }

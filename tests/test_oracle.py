@@ -128,18 +128,19 @@ def test_primitive_root_is_the_least_generator(p):
     assert all(multiplicative_order(h, p) < p - 1 for h in range(1, g))
 
 
+def horner(coeffs: tuple[int, ...], x: int, p: int) -> int:
+    """The polynomial with these ascending coefficients at x, mod p, in Python ints."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def python_values(f: RationalMap, p: int, domain: Domain) -> set[int]:
     """The values of f over the domain, by scalar Horner and pow(., -1, p)."""
-
-    def horner(coeffs, x):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        return acc
-
     xs = range(0 if domain is Domain.ALL else 1, p)
-    dens = ((x, horner(f.denominator, x)) for x in xs)
-    return {horner(f.numerator, x) * pow(d, -1, p) % p for x, d in dens if d}
+    dens = ((x, horner(f.denominator, x, p)) for x in xs)
+    return {horner(f.numerator, x, p) * pow(d, -1, p) % p for x, d in dens if d}
 
 
 #: The first primes above one and two blocks of vp_brute.
@@ -167,6 +168,51 @@ def test_blocked_vp_brute_matches_python_values(p):
     for domain in Domain:
         with pytest.raises(EmptyDomain):
             vp_brute(RationalMap((1,), (p,)), p, domain)
+
+
+#: The largest prime at most MAX_ENUM_PRIME: products there come closest
+#: to 2^63.
+P_MAX_ENUM = next(q for q in range(_tables.MAX_ENUM_PRIME, 0, -1) if _tables.is_prime(q))
+
+
+@pytest.mark.parametrize("p", [7, 1_000_003, P_MAX_ENUM])
+def test_eval_poly_equals_python_horner(p):
+    # every degree 0..5, with zero, +-1, negative and >= p coefficients;
+    # all p - 1 at x = p - 1 gives the largest products int64 must hold
+    xs = np.array([0, 1, p - 2, p - 1], dtype=np.int64)
+    pool = (0, 1, -1, -2, p - 1, p, p + 1, 3 * p + 2, -5 * p - 3)
+    rng = random.Random(p)
+    cases = [(c,) * n for c in (0, 1, p - 1) for n in range(1, 7)]
+    cases += [tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))) for _ in range(300)]
+    for coeffs in cases:
+        got = oracle._eval_poly(coeffs, xs, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [horner(coeffs, int(x), p) for x in xs], coeffs
+        assert xs.tolist() == [0, 1, p - 2, p - 1]  # read, never written
+
+
+@pytest.mark.parametrize("p", BLOCK_PRIMES)
+def test_streamed_jacobsthal_matches_python(p):
+    # several blocks and a partial last one; the symbols by Euler's
+    # criterion, which the oracle does not use
+    chi = [0] + [1 if pow(v, (p - 1) // 2, p) == 1 else -1 for v in range(1, p)]
+    assert oracle._legendre_symbols(p).tolist() == chi
+    cubes = [pow(y, 3, p) for y in range(1, p)]
+    rng = random.Random(p)
+    for m in [1, 2, p - 1] + rng.sample(range(3, p - 1), 97):
+        assert jacobsthal_brute(m, p) == chi[m] * sum(chi[(c + m) % p] for c in cubes), m
+
+
+def test_jacobsthal_brute_memory_is_the_symbols_plus_one_block():
+    p = 1_000_003
+    jacobsthal_brute(1, 13)  # numpy is imported on first use and stays
+    tracemalloc.start()
+    try:
+        jacobsthal_brute(5, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * p
 
 
 def test_vp_brute_memory_is_the_bitmap_plus_one_block():

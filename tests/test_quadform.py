@@ -24,6 +24,7 @@ from cubecount.quadform import (
     root_class,
     two_class_is_b_mult3,
 )
+from cubecount.sweep import run_sweep
 from helpers import primes_1mod3, search_a3b, search_l27m
 
 
@@ -126,6 +127,18 @@ def test_a_rep_belongs_to_one_prime():
 
 def test_rep_cache_is_bounded():
     assert quadform._cached_a3b.cache_parameters()["maxsize"] is not None
+
+
+def test_represent_l27m_reuses_the_cached_rep(monkeypatch):
+    # one descent per prime 1 (mod 3) of a sweep; represent_l27m used to
+    # redo it on every call, 282 descents for these 94 primes
+    calls = []
+    descent = quadform.represent_a3b
+    monkeypatch.setattr(quadform, "represent_a3b", lambda p: calls.append(p) or descent(p))
+    quadform._cached_a3b.cache_clear()
+    report = run_sweep(1200, ["cor23", "jacobi"], jobs=1)
+    assert report.mismatches == []
+    assert len(calls) == len(set(calls)) == 94
 
 
 @pytest.mark.parametrize("c", ["unit", None, 0, [1]])
