@@ -12,6 +12,15 @@ divisibility is checked by _exact_div, never rounded.
 Every public function here that takes a modulus p checks it first with
 modarith.checked_prime (through quadform._require_1mod3 where p = 1 mod 3
 is required), so a composite p raises CompositeModulus, not a meaningless count.
+
+The three per-parameter closed forms, vp_closed, vp_2a and
+jacobsthal_closed, are each their argument checks, one private kernel and
+their result.  A kernel (_vp, _vp_2a, _jacobsthal) takes a prime p that its
+caller has checked, a unit in [1, p) and the QuadRep of p (None when
+p = 2 mod 3), and returns an int.  It checks none of the three; it keeps
+the _exact_div guard and the InternalInconsistency of quadform._unit_class.
+A caller that runs over every parameter of one prime, as the sweep does,
+checks p and takes the rep once and then calls the kernel.
 """
 
 from __future__ import annotations
@@ -25,9 +34,9 @@ from .quadform import (
     CubicClass,
     QuadRep,
     _cached_a3b,
+    _check_rep,
     _class_trace,
     _require_1mod3,
-    _require_rep,
     _unit_class,
     represent_l27m,
 )
@@ -97,11 +106,27 @@ def vp_closed(a, p: int) -> VpBreakdown:
     p = checked_prime(p)
     a = _nonzero_residue(a, p)
     if p % 3 == 2:
-        return VpBreakdown(_exact_div(2 * p - 1, 3), "2mod3", p, a)
+        return VpBreakdown(_vp(a, p, None), "2mod3", p, a)
     rep = _cached_a3b(p)
+    v = _vp(a, p, rep)
+    return VpBreakdown(v, _count_class(v, p, rep.A, rep.B).value, p, a, rep.A, rep.B)
+
+
+def _vp(a: int, p: int, rep: QuadRep | None) -> int:
+    # vp_closed's count: the kernel convention of the module docstring
+    if rep is None:
+        return _exact_div(2 * p - 1, 3)
     c = _unit_class(2 * a * a % p, p, rep)
-    v = _exact_div(2 * p - 1 + _class_trace(c, rep.A, rep.B), 3)
-    return VpBreakdown(v, c.value, p, a, rep.A, rep.B)
+    return _exact_div(2 * p - 1 + _class_trace(c, rep.A, rep.B), 3)
+
+
+def _count_class(v: int, p: int, a: int, b: int) -> CubicClass:
+    # The class c whose count (2p - 1 + _class_trace(c, a, b))/3 is v.  The
+    # three traces differ: a = +-b or b = 0 would make p = 4a^2 or a^2.
+    t = 3 * v + 1 - 2 * p
+    if t == 2 * a:
+        return CubicClass.UNIT
+    return CubicClass.PLUS if t == 3 * b - a else CubicClass.MINUS
 
 
 def vp_from_jacobsthal(phi: int, p: int) -> int:
@@ -135,8 +160,14 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
     p = checked_prime(p)
     m = _nonzero_residue(m, p)
     if p % 3 == 2:
+        return _jacobsthal(m, p, None)
+    return _jacobsthal(m, _check_rep(p, rep), rep)
+
+
+def _jacobsthal(m: int, p: int, rep: QuadRep | None) -> int:
+    # jacobsthal_closed's sum: the kernel convention of the module docstring
+    if rep is None:
         return -1
-    _require_rep(p, rep)
     return -1 - _class_trace(_unit_class(m, p, rep), rep.A, rep.B)
 
 
@@ -150,9 +181,13 @@ def vp_2a(a, p: int) -> VpBreakdown:
     p = _require_1mod3(p)
     a = _nonzero_residue(a, p)
     rep = _cached_a3b(p)
-    c = _unit_class(a, p, rep)
-    v = _exact_div(2 * p - 1 + _class_trace(c, rep.A, -rep.B), 3)
-    return VpBreakdown(v, c.value, p, a, rep.A, rep.B)
+    v = _vp_2a(a, p, rep)
+    return VpBreakdown(v, _count_class(v, p, rep.A, -rep.B).value, p, a, rep.A, rep.B)
+
+
+def _vp_2a(a: int, p: int, rep: QuadRep) -> int:
+    # vp_2a's count: the kernel convention of the module docstring, p = 1 (mod 3)
+    return _exact_div(2 * p - 1 + _class_trace(_unit_class(a, p, rep), rep.A, -rep.B), 3)
 
 
 def vp_half_x2(a, p: int) -> int:

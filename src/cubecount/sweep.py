@@ -10,10 +10,15 @@ makes one comparison per a: the two counts when they differ, otherwise
 the cube criterion as booleans (is a a cube, is its count the top one).
 The checks on the x^2 + a/x family read one table of counts per prime
 (family_counts), the Jacobsthal check one vector of sums (jacobsthal_all)
-and the t-map check one vector of preimage counts (t_preimage_counts); the
-closed form is still evaluated per parameter.  Rows are produced in
-ascending-p order and do not depend on how the work was split across
-processes.
+and the t-map check one vector of preimage counts (t_preimage_counts).
+The closed form is evaluated per parameter, but theorem21, lemma23 and
+cor21 check p and take its rep once per prime: at a = 1 they compare the
+public function (vp_closed, jacobsthal_closed, vp_2a), at every other a
+its kernel (_vp, _jacobsthal, _vp_2a), which is the same arithmetic
+without the argument checks and the result object.  cor21's cube test
+stays the public is_cubic_residue at every a, independent of vp_2a.  Rows
+are produced in ascending-p order and do not depend on how the work was
+split across processes.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from math import isqrt
 from ._tables import MAX_ENUM_PRIME, check_int
 from .closedform import (
     _cor24_value,
+    _jacobsthal,
+    _vp,
+    _vp_2a,
     a_from_count,
     jacobsthal_closed,
     l_from_count,
@@ -37,8 +45,9 @@ from .closedform import (
     jacobi_check,
 )
 from .cubicres import is_cubic_residue, t_preimage_counts
+from .modarith import checked_prime
 from .oracle import Domain, RationalMap, family_counts, jacobsthal_all, vp_brute
-from .quadform import _cached_a3b, represent_l27m
+from .quadform import _cached_a3b, _require_1mod3, represent_l27m
 
 __all__ = ["CHECKS", "ROW_FIELDS", "SweepReport", "primes_between", "run_sweep"]
 
@@ -90,8 +99,11 @@ def _compare(check: str, p: int, triples) -> tuple[int, list[dict]]:
 
 def check_theorem21(p: int):
     """Main count: vp_closed vs enumeration of x^2 + a/x, all nonzero a."""
+    p = checked_prime(p)
+    rep = _cached_a3b(p) if p % 3 == 1 else None
+    v1 = vp_closed(1, p).v
     counts = family_counts(p).tolist()
-    triples = ((a, vp_closed(a, p).v, counts[a]) for a in range(1, p))
+    triples = ((a, _vp(a, p, rep) if a > 1 else v1, counts[a]) for a in range(1, p))
     return _compare("theorem21", p, triples)
 
 
@@ -105,9 +117,11 @@ def check_lemma22(p: int):
 
 def check_lemma23(p: int):
     """Jacobsthal sums: closed form vs the definitional sum, all nonzero m."""
+    p = checked_prime(p)
     rep = _cached_a3b(p) if p % 3 == 1 else None
+    j1 = jacobsthal_closed(1, p, rep)
     sums = jacobsthal_all(p).tolist()
-    triples = ((m, jacobsthal_closed(m, p, rep), sums[m]) for m in range(1, p))
+    triples = ((m, _jacobsthal(m, p, rep) if m > 1 else j1, sums[m]) for m in range(1, p))
     return _compare("lemma23", p, triples)
 
 
@@ -115,12 +129,14 @@ def check_cor21(p: int):
     """Companion family x^2 + 2a/x vs vp_2a, plus the cube criterion."""
     if p % 3 != 1:
         return 0, []
+    p = _require_1mod3(p)
+    rep = _cached_a3b(p)
     top = vp_2a(1, p).v  # the count of the cube class, 1 being a cube
     counts = family_counts(p).tolist()
 
     def triples():
         for a in range(1, p):
-            vc, vb = vp_2a(a, p).v, counts[2 * a % p]
+            vc, vb = _vp_2a(a, p, rep) if a > 1 else top, counts[2 * a % p]
             # Where the counts agree, the top count occurs exactly on cubes.
             yield (a, vc, vb) if vc != vb else (a, is_cubic_residue(a, p), vb == top)
 

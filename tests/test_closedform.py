@@ -1,6 +1,7 @@
 """Closed-form counts against enumeration, plus the companion identities."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,29 @@ def test_vp_2a_top_case_iff_cube():
         top = (2 * p - 1 + 2 * rep.A) // 3
         for a in range(1, p):
             assert (vp_2a(a, p).v == top) == is_cubic_residue(a, p)
+
+
+def test_public_closed_forms_equal_their_kernels():
+    # The sweep reaches the public functions only at a = 1 and their kernels
+    # at every other a, so this ties the two together: every a at three
+    # primes of each class mod 3, and 1,000 seeded a at a 61-bit prime.
+    # The case a VpBreakdown names is checked against cubic_class too.
+    big = 2**61 - 1
+    rng = random.Random(21)
+    cases = [(p, range(1, p)) for p in (5, 11, 1487, 7, 13, 1489)]
+    cases.append((big, [rng.randrange(1, big) for _ in range(1000)]))
+    for p, params in cases:
+        rep = represent_a3b(p) if p % 3 == 1 else None
+        for a in params:
+            main = vp_closed(a, p)
+            assert main.v == closedform._vp(a, p, rep), (p, a)
+            assert jacobsthal_closed(a, p, rep) == closedform._jacobsthal(a, p, rep), (p, a)
+            if rep is None:
+                continue
+            comp = vp_2a(a, p)
+            assert comp.v == closedform._vp_2a(a, p, rep), (p, a)
+            assert main.path_case == cubic_class(2 * a * a, p, rep).value, (p, a)
+            assert comp.path_case == cubic_class(a, p, rep).value, (p, a)
 
 
 def test_vp_half_x2_examples():

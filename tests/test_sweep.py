@@ -123,29 +123,58 @@ _SAMPLE_13 = (
 ).split()
 
 # (check, name patched in cubecount.sweep, fake, pairs, rows) at p = 13,
-# where A = 1, B = 2, L = -5 and the cubes are 1, 5, 8, 12.
+# where A = 1, B = 2, L = -5 and the cubes are 1, 5, 8, 12.  theorem21,
+# lemma23 and cor21 take a = 1 from the public closed form and every other
+# a from its kernel, so each has a fault planted in both.
 PLANTED_FAULTS = [
     (
         "theorem21",
-        "vp_closed",
-        lambda a, p, real=sweep.vp_closed: SimpleNamespace(v=real(a, p).v + (a == 3)),
+        "_vp",
+        lambda a, p, rep, real=sweep._vp: real(a, p, rep) + (a == 3),
         12,
         _rows("theorem21", (3, 10, 9)),
+    ),
+    (
+        "theorem21",
+        "vp_closed",
+        lambda a, p, real=sweep.vp_closed: SimpleNamespace(v=real(a, p).v + (a == 1)),
+        12,
+        _rows("theorem21", (1, 11, 10)),
     ),
     ("lemma22", "t_preimage_counts", _t_counts_with_one_at_5, 12, _rows("lemma22", (5, 3, 1))),
     (
         "lemma23",
-        "jacobsthal_closed",
-        lambda m, p, rep, real=sweep.jacobsthal_closed: real(m, p, rep) + (m == 2),
+        "_jacobsthal",
+        lambda m, p, rep, real=sweep._jacobsthal: real(m, p, rep) + (m == 2),
         12,
         _rows("lemma23", (2, -5, -6)),
     ),
     (
+        "lemma23",
+        "jacobsthal_closed",
+        lambda m, p, rep, real=sweep.jacobsthal_closed: real(m, p, rep) + (m == 1),
+        12,
+        _rows("lemma23", (1, -2, -3)),
+    ),
+    (
         "cor21",
-        "vp_2a",
-        lambda a, p, real=sweep.vp_2a: SimpleNamespace(v=real(a, p).v + (a == 4)),
+        "_vp_2a",
+        lambda a, p, rep, real=sweep._vp_2a: real(a, p, rep) + (a == 4),
         12,
         _rows("cor21", (4, 11, 10)),
+    ),
+    (
+        # a wrong top count at a = 1 is also a wrong cube criterion at every
+        # cube (count 9, not the top) and at every a whose 2a is a cube (10)
+        "cor21",
+        "vp_2a",
+        lambda a, p, real=sweep.vp_2a: SimpleNamespace(v=real(a, p).v + (a == 1)),
+        12,
+        _rows(
+            "cor21",
+            (1, 10, 9),
+            *((a, a in (5, 8, 12), a not in (5, 8, 12)) for a in (4, 5, 6, 7, 8, 9, 12)),
+        ),
     ),
     (
         "cor21",
