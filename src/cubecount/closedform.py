@@ -15,10 +15,11 @@ is required), so a composite p raises CompositeModulus, not a meaningless count.
 
 The three per-parameter closed forms, vp_closed, vp_2a and
 jacobsthal_closed, are each their argument checks, one private kernel and
-their result.  A kernel (_vp, _vp_2a, _jacobsthal) takes a prime p that its
-caller has checked, a unit in [1, p) and the QuadRep of p (None when
-p = 2 mod 3), and returns an int.  It checks none of the three; it keeps
-the _exact_div guard and the InternalInconsistency of quadform._unit_class.
+their result; vp_half_x2 is its checks and the kernel _jacobsthal.  A
+kernel (_vp, _vp_2a, _jacobsthal) takes a prime p that its caller has
+checked, a unit in [1, p) and the QuadRep of p (None when p = 2 mod 3),
+and returns an int.  It checks none of the three; it keeps the _exact_div
+guard and the InternalInconsistency of quadform._unit_class.
 A caller that runs over every parameter of one prime, as the sweep does,
 checks p and takes the rep once and then calls the kernel.
 """
@@ -28,11 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._tables import MAX_ENUM_PRIME, check_int
-from .errors import InternalInconsistency, NonIntegerResult, WrongResidueClass
+from .errors import NonIntegerResult, WrongResidueClass
 from .modarith import _nonzero_residue, checked_prime, inv_mod
 from .quadform import (
     CubicClass,
     QuadRep,
+    _MINUS,
+    _PLUS,
+    _UNIT,
     _cached_a3b,
     _check_rep,
     _class_trace,
@@ -52,7 +56,6 @@ __all__ = [
     "von_sterneck_value",
     "vp_2a",
     "vp_closed",
-    "vp_cor24",
     "vp_from_jacobsthal",
     "vp_half_x2",
 ]
@@ -125,8 +128,8 @@ def _count_class(v: int, p: int, a: int, b: int) -> CubicClass:
     # three traces differ: a = +-b or b = 0 would make p = 4a^2 or a^2.
     t = 3 * v + 1 - 2 * p
     if t == 2 * a:
-        return CubicClass.UNIT
-    return CubicClass.PLUS if t == 3 * b - a else CubicClass.MINUS
+        return _UNIT
+    return _PLUS if t == 3 * b - a else _MINUS
 
 
 def vp_from_jacobsthal(phi: int, p: int) -> int:
@@ -191,19 +194,17 @@ def _vp_2a(a: int, p: int, rep: QuadRep) -> int:
 
 
 def vp_half_x2(a, p: int) -> int:
-    """Closed-form count for x + a/(2x^2) over the units.
+    """Closed-form count for x + a/(2x^2) over the units: (2p - 2 - Phi(a))/3.
 
-    (2p - 1)/3 when p = 2 (mod 3); otherwise (2p - 1 + t)/3 at the class
-    of a, the same orientation as vp_closed.  Substituting x -> 1/x and
-    rescaling shows this family attains exactly as many values as
-    x^2 + (2/a)/x, so the result also equals vp_closed(2 * inv(a), p).v.
+    x -> 1/x gives x^2 + (2/a)/x, whose count is (2(p - 1) - Phi(8/a^2))/3
+    (vp_from_jacobsthal's identity).  8/a^2 = a (2/a)^3, and Phi(m) does
+    not change when m is multiplied by a cube.  For p = 2 (mod 3) Phi = -1
+    and the count is (2p - 1)/3.  Equals vp_closed(2 * inv(a), p).v.
     """
     p = checked_prime(p)
     a = _nonzero_residue(a, p)
-    if p % 3 == 2:
-        return _exact_div(2 * p - 1, 3)
-    rep = _cached_a3b(p)
-    return _exact_div(2 * p - 1 + _class_trace(_unit_class(a, p, rep), rep.A, rep.B), 3)
+    rep = None if p % 3 == 2 else _cached_a3b(p)
+    return _exact_div(2 * p - 2 - _jacobsthal(a, p, rep), 3)
 
 
 def a_from_count(p: int, v2: int) -> int:
@@ -221,34 +222,16 @@ def l_from_count(p: int, v1: int) -> int:
 
 
 def _cor24_value(p: int, rep: QuadRep) -> int:
-    """The count shared by x^2 + 4/x and x + 2/x^2, straight off (A, B).
+    """Corollary 2.4: the count shared by x^2 + 4/x and x + 2/x^2, p = 1 (mod 3).
 
-    The class is read from B mod 3 (0, 1, 2 -> UNIT, PLUS, MINUS), never
-    from cubic_class, so vp_cor24 still compares two independent routes.
+    Both equal (2p - 1 + 2A)/3 when 3 | B and (2p - 1 - A + 3(B/3)B)/3
+    otherwise, with (B/3) the character of B mod 3.  The class is read
+    from B mod 3 (0, 1, 2 -> UNIT, PLUS, MINUS), never from cubic_class, so
+    sweep.check_cor24 compares a route independent of the closed forms'
+    with both family enumerations.
     """
     c = tuple(CubicClass)[rep.B % 3]
     return _exact_div(2 * p - 1 + _class_trace(c, rep.A, rep.B), 3)
-
-
-def vp_cor24(p: int) -> tuple[int, int]:
-    """Counts of x^2 + 4/x and x + 2/x^2 for p = 1 (mod 3).
-
-    Both equal (2p - 1 + 2A)/3 when 3 | B and (2p - 1 - A + 3(B/3)B)/3
-    otherwise, with (B/3) the character of B mod 3.  The two family
-    evaluations are computed independently and must agree with the
-    formula; a mismatch raises.
-    """
-    p = _require_1mod3(p)
-    rep = _cached_a3b(p)
-    want = _cor24_value(p, rep)
-    via_x2 = vp_closed(4 % p, p).v
-    via_half = vp_half_x2(4, p)  # x + 4/(2x^2) is x + 2/x^2
-    if not (want == via_x2 == via_half):
-        raise InternalInconsistency(
-            f"count mismatch at p = {p}: formula {want}, "
-            f"x^2+4/x {via_x2}, x+2/x^2 {via_half}"
-        )
-    return via_x2, via_half
 
 
 def von_sterneck_value(p: int) -> int:

@@ -29,7 +29,7 @@ class ZeroInverse(CubecountError, ZeroDivisionError):
 
 
 class CompositeModulus(CubecountError, ValueError):
-    """A modulus that must be prime showed itself composite mid-computation."""
+    """A modulus that must be prime is composite; refused before any work starts."""
 
 
 class ZeroArgument(CubecountError, ValueError):
@@ -57,10 +57,11 @@ class EmptyDomain(CubecountError, ValueError):
 
 
 class NonIntegerResult(CubecountError, ArithmeticError):
-    """A closed-form numerator failed its guaranteed divisibility.
+    """A closed-form numerator failed its divisibility; it is never rounded.
 
-    This cannot happen for valid prime input; it indicates a convention bug
-    and is raised instead of silently rounding.
+    From a prime and a parameter it cannot happen, so there it indicates a
+    convention bug.  A Jacobsthal value or count that no prime has raises
+    it too: vp_from_jacobsthal(1, 7), a_from_count(7, 2).
     """
 
 

@@ -293,8 +293,8 @@ def jacobsthal_brute(m: int, p: int) -> int:
 
     Straight from the definition via the Legendre symbols, with y^3 + m
     reduced mod p a block of BRUTE_BLOCK at a time: about 1 byte per residue
-    (the symbols) plus one block.  Equals -1 for every nonzero m when p = 2
-    (mod 3), and is bounded by 2*sqrt(p) + 1 in absolute value.
+    (the symbols) plus one block.  Equals -1 for every nonzero m when p > 2
+    and p = 2 (mod 3), and is bounded by 2*sqrt(p) + 1 in absolute value.
     """
     p = _tables.check_enumerable(p)
     m = _tables.check_int("m", m) % p

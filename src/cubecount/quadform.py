@@ -164,6 +164,11 @@ class CubicClass(Enum):
     MINUS = "minus"
 
 
+# the members by module global: an identity test against one is cheaper
+# than CubicClass.UNIT or a dict keyed on members (Enum hashes in Python)
+_UNIT, _PLUS, _MINUS = CubicClass.UNIT, CubicClass.PLUS, CubicClass.MINUS
+
+
 def root_class(c: int, p: int, rep: QuadRep) -> CubicClass | None:
     """The class named by a cube root of unity c in [0, p); None for any other c.
 
@@ -179,11 +184,11 @@ def root_class(c: int, p: int, rep: QuadRep) -> CubicClass | None:
 def _root_class(c: int, p: int, rep: QuadRep) -> CubicClass | None:
     # root_class for a c in [0, p) and a rep already checked against p
     if c == 1:
-        return CubicClass.UNIT
+        return _UNIT
     s = (2 * c + 1) * rep.B % p
     if s == rep.A % p:
-        return CubicClass.PLUS
-    return CubicClass.MINUS if s == -rep.A % p else None
+        return _PLUS
+    return _MINUS if s == -rep.A % p else None
 
 
 def _unit_class(a: int, p: int, rep: QuadRep) -> CubicClass:
@@ -204,11 +209,6 @@ def class_trace(c: CubicClass, a: int, b: int) -> int:
     if not isinstance(c, CubicClass):
         raise ValueError(f"c must be a CubicClass, got {c!r}")
     return _class_trace(c, check_int("a", a), check_int("b", b))
-
-
-# the members by module global: an identity test against one is cheaper
-# than CubicClass.UNIT or a dict keyed on members (Enum hashes in Python)
-_UNIT, _PLUS = CubicClass.UNIT, CubicClass.PLUS
 
 
 def _class_trace(c: CubicClass, a: int, b: int) -> int:

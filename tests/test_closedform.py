@@ -17,7 +17,6 @@ from cubecount.closedform import (
     von_sterneck_value,
     vp_2a,
     vp_closed,
-    vp_cor24,
     vp_from_jacobsthal,
     vp_half_x2,
 )
@@ -25,7 +24,6 @@ from cubecount.cubicres import cubic_class, in_c0, is_cubic_residue, k_map, t_ma
 from cubecount.errors import (
     CompositeModulus,
     CubecountError,
-    InternalInconsistency,
     MissingRep,
     NonIntegerResult,
     WrongResidueClass,
@@ -77,11 +75,13 @@ def test_vp_closed_huge_prime():
 
 
 def test_character_route_agrees():
-    # slower cross-check route: one Jacobsthal vector per prime, read at 2a^2
+    # slower cross-check route: one Jacobsthal vector per prime, read at 2a^2;
+    # a prime has at most three distinct sums, each turned into a count once
     for p in primes_upto(3000, start=5):
         sums = jacobsthal_all(p).tolist()
+        route = {phi: vp_from_jacobsthal(phi, p) for phi in set(sums[1:])}
         for a in range(1, p):
-            if vp_from_jacobsthal(sums[2 * a * a % p], p) != vp_closed(a, p).v:
+            if route[sums[2 * a * a % p]] != vp_closed(a, p).v:
                 raise AssertionError(f"route mismatch at p={p}, a={a}")
 
 
@@ -189,16 +189,13 @@ def test_inversion_errors():
         a_from_count(7, 2)  # 3*2 + 1 is odd
 
 
-def test_vp_cor24_examples_and_sweep():
-    assert vp_cor24(7) == (6, 6)
-    assert vp_cor24(13) == (6, 6)
-    assert vp_cor24(31) == (19, 19)
+def test_cor24_value_examples_and_sweep():
+    # Corollary 2.4: x^2 + 4/x and x + 4/(2x^2) = x + 2/x^2 share one count
+    assert [closedform._cor24_value(p, represent_a3b(p)) for p in (7, 13, 31)] == [6, 6, 19]
     for p in primes_1mod3(500):
-        v1, v2 = vp_cor24(p)
+        rep = represent_a3b(p)
         want = vp_brute(RationalMap.x2_plus_a_over_x(4 % p), p, Domain.NONZERO).v
-        assert v1 == v2 == want
-    with pytest.raises(WrongResidueClass):
-        vp_cor24(5)
+        assert closedform._cor24_value(p, rep) == vp_closed(4, p).v == vp_half_x2(4, p) == want, p
 
 
 def test_divisibility_guards_raise():
@@ -210,13 +207,6 @@ def test_divisibility_guards_raise():
     # a_from_count's halving goes through the same guard: 3*2 + 1 is odd
     with pytest.raises(NonIntegerResult, match="7 is not divisible by 2"):
         a_from_count(7, 2)
-
-
-def test_vp_cor24_refuses_routes_that_disagree(monkeypatch):
-    real = closedform.vp_half_x2
-    monkeypatch.setattr(closedform, "vp_half_x2", lambda a, p: real(a, p) + 1)
-    with pytest.raises(InternalInconsistency, match="count mismatch at p = 7"):
-        vp_cor24(7)
 
 
 def test_von_sterneck_examples_and_formula():
@@ -291,7 +281,6 @@ def test_composite_moduli_raise_promptly():
                 lambda: jacobsthal_closed(2, n, represent_a3b(7)),
                 lambda: jacobsthal_closed(2, n),
                 lambda: vp_from_jacobsthal(-1, n),
-                lambda: vp_cor24(n),
                 lambda: jacobi_check(n),
                 lambda: represent_a3b(n),
                 lambda: represent_l27m(n),

@@ -1,5 +1,6 @@
 """Sweep harness: registry, report shape, and parallel determinism."""
 
+import inspect
 import multiprocessing
 import os
 import subprocess
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubecount import sweep
+from cubecount import closedform, sweep
 from cubecount.sweep import CHECKS, SweepReport, primes_between, run_sweep
 
 
@@ -217,6 +218,38 @@ def test_planted_fault_gives_exact_rows(monkeypatch, check, name, fake, pairs, r
     assert CHECKS[check](13) == (pairs, [])
     monkeypatch.setattr(sweep, name, fake)
     assert CHECKS[check](13) == (pairs, rows)
+
+
+# The closed forms a default sweep never calls, each with the test that
+# checks it instead.
+NOT_SWEPT = {
+    "vp_from_jacobsthal": "test_character_route_agrees compares it with vp_closed "
+    "at every a for every prime up to 3000",
+    "vp_half_x2": "its count is the swept _jacobsthal's; criterion 9 compares it "
+    "with enumeration of its own family at every a for every prime up to 300",
+}
+
+
+def test_sweep_calls_every_closed_form_not_listed(monkeypatch):
+    # Each function is replaced wherever a cubecount module holds it, so calls
+    # from the sweep and from other closed forms are both seen.
+    names = [n for n in closedform.__all__ if inspect.isfunction(getattr(closedform, n))]
+    names += ["_vp", "_vp_2a", "_jacobsthal", "_cor24_value"]
+    called = set()
+    for name in names:
+        real = getattr(closedform, name)
+
+        def wrapped(*args, real=real, name=name, **kwargs):
+            called.add(name)
+            return real(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "cubecount":
+                for attr, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    assert run_sweep(13, jobs=1).mismatches == []
+    assert set(names) - called == set(NOT_SWEPT)
 
 
 def test_run_sweep_independent_of_jobs():
