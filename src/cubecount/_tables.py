@@ -5,12 +5,13 @@ enumerable modulus at isqrt(2**63), and the tables hold only mod a prime;
 every enumerating entry point checks both with check_enumerable before it
 allocates anything.  per_prime is the one cache policy for the O(p)
 tables: p checked, table built, marked read-only, and kept for the one
-prime last asked for.  It holds three: inv_table here (read by vp_brute
-for a non-constant denominator and by cubicres.t_preimage_counts),
-oracle.family_counts (four sweep checks) and cubicres.t_preimage_counts
-(one lookup per t).  unit_powers, the powers of the least primitive root,
-is the one builder that inv_table and family_counts both start from; it
-is a temporary of each build, not a fourth cached table.  reduce_mod is
+prime last asked for.  It holds four.  unit_powers here, the powers of
+the least primitive root, is read by inv_table and family_counts when
+they build and by vp_brute, which walks the units by it for a monomial
+denominator c x^j (j >= 1).  inv_table here is read by vp_brute for any
+other non-constant denominator and by cubicres.t_preimage_counts.
+oracle.family_counts serves four sweep checks, and
+cubicres.t_preimage_counts one lookup per t.  reduce_mod is
 the one way an array is reduced mod p anywhere in the package: numpy's
 int64 % costs about four times its floor division.  is_prime, the
 package's one primality test, and check_int, its one rule for what an
@@ -171,22 +172,23 @@ def primitive_root(p: int) -> int:
     return g
 
 
+@per_prime
 def unit_powers(p: int) -> np.ndarray:
-    """pw[k] = g^k mod p for k in [0, p - 1), g the least primitive root:
-    every unit once, in the order of its discrete logarithm.
+    """pw[k] = g^k mod p for k in [0, p), g the least primitive root:
+    every unit once, in the order of its discrete logarithm, in pw[:-1],
+    and pw[p - 1] = g^(p-1) = 1 = pw[0].  Since g^(-k) = g^(p-1-k), the
+    table read backwards, pw[::-1], lists the inverses of pw, k = 0 too.
 
-    O(p), filled by doubling, pw[n:2n] = pw[:n] * g^n mod p.  A temporary
-    of the table builds that read it (inv_table, oracle.family_counts),
-    not itself cached.
+    O(p), filled by doubling, pw[n:2n] = pw[:n] * g^n mod p.
     """
     import numpy as np
 
     g = primitive_root(p)
-    pw = np.empty(p - 1, dtype=np.int64)
+    pw = np.empty(p, dtype=np.int64)
     pw[0] = 1
     n = 1
-    while n < p - 1:
-        m = min(n, p - 1 - n)
+    while n < p:
+        m = min(n, p - n)
         block = pw[n : n + m]
         np.multiply(pw[:m], pow(g, n, p), out=block)
         reduce_mod(block, p)
@@ -198,13 +200,12 @@ def unit_powers(p: int) -> np.ndarray:
 def inv_table(p: int) -> np.ndarray:
     """inv_table(p)[x] = x^(-1) mod p for x in [1, p); slot 0 holds 0.
 
-    O(p): since g^(-k) = g^(p-1-k), the inverses are one scatter of
-    unit_powers, inv[pw[k]] = pw[p-1-k].
+    O(p): since g^(-k) = g^(p-1-k), the inverses are one scatter of the
+    cached unit_powers, inv[pw[k]] = pw[p-1-k].
     """
     import numpy as np
 
     pw = unit_powers(p)
     inv = np.zeros(p, dtype=np.int64)
-    inv[1] = 1
-    inv[pw[1:]] = pw[:0:-1]
+    inv[pw] = pw[::-1]
     return inv

@@ -13,15 +13,19 @@ table and each cell costs one add and one scatter, and ``jacobsthal_all``
 gets every Jacobsthal sum by correlating the cube histogram with the
 Legendre symbols.  They only enumerate or correlate; indexing the units by
 a primitive root is an order of enumeration, and like the per-parameter
-oracles they never use cubic-class theory or a closed-form identity.  Only
-family_counts is cached per prime; nothing else here is read twice.
+oracles they never use cubic-class theory or a closed-form identity.  Of
+the tables here only family_counts is cached per prime; vp_brute reads the
+cached _tables.unit_powers for a monomial denominator, walking the units
+in the same order, and _tables.inv_table for any other non-constant one.
 
 The per-parameter oracles stream: vp_brute and jacobsthal_brute evaluate
 BRUTE_BLOCK points at a time, so each holds one p-byte array (the bitmap of
 attained values, or the int8 Legendre symbols) plus one block.  Their
-polynomials go through _eval_poly, which reduces mod p only where a value
+polynomials go through _horner, which reduces mod p only where a value
 can have reached p, with _tables.reduce_mod: a floor division at under
-half the cost of numpy's int64 %, and still the dearest step.
+half the cost of numpy's int64 %, and still the dearest step.  Over a
+monomial denominator c x^j, _eval_laurent evaluates f as a polynomial in
+x plus one in 1/x and reduces their sum once.
 """
 
 from __future__ import annotations
@@ -100,31 +104,38 @@ class CountResult:
     attained: np.ndarray | None = None
 
 
-#: Points x that the enumerating oracles evaluate at a time.  vp_brute peaks
-#: at six int64 arrays of this length, 768 KiB, next to its p-byte bitmap of
-#: attained values: a block's x, numerator and values (or denominator) stay
-#: bound while the next block's x, the numerator being built and the
-#: quotient temporary of _tables.reduce_mod are allocated.  jacobsthal_brute
-#: holds three (y, y^3 + m and the quotient) next to its p int8 symbols.
+#: Points x that the enumerating oracles evaluate at a time.  vp_brute
+#: drops each block's arrays before it builds the next, so next to its
+#: p-byte bitmap of attained values it holds at most three int64 arrays of
+#: this length for a polynomial (x, the values and the quotient temporary
+#: of _tables.reduce_mod) or a monomial denominator (the parts in x and in
+#: 1/x, and the quotient; x and 1/x are views of a cached table), and four
+#: for any other denominator (numerator, denominator, and x and the
+#: quotient, or the values and the gather's temporary).  tracemalloc peaks
+#: at p = 1,000,003, in bytes per residue: 1.40 for x^2 + 5/x (1.81 when
+#: the last block stayed bound) and for a cubic over Z_p, 1.54 for
+#: 1/(x^2 - 1).  jacobsthal_brute holds three (y, y^3 + m and the
+#: quotient) next to its p int8 symbols.
 BRUTE_BLOCK = 1 << 14
 
 
-def _eval_poly(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
-    """f(x) mod p for every x in xs (int64, each in [0, p)), by Horner.
+def _horner(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """(acc, bound): acc = f(x) mod p up to a multiple of p for every x in
+    xs (int64, each in [0, p)), by Horner, and bound the largest value acc
+    can hold.
 
-    bound is the largest value acc can hold, so acc is reduced only when it
-    can have reached p: before a multiply, which then never exceeds
-    (p - 1)^2 + (p - 1) < 2^63 up to MAX_ENUM_PRIME, and once at the end.
-    Each reduction is _tables.reduce_mod in place, about 1.4 ns per element
+    acc is reduced only when it can have reached p, before a multiply, so
+    no value exceeds (p - 1)^2 + (p - 1) < 2^63 up to MAX_ENUM_PRIME.  Each
+    reduction is _tables.reduce_mod in place, about 1.4 ns per element
     where numpy's int64 % costs 3.7 (an add costs 0.3; 2-core Xeon VM).
     A leading coefficient 1 starts from xs itself and a zero coefficient adds
-    nothing; the result may be xs itself, so callers do not write into it.
+    nothing; acc may be xs itself, and then bound is below p.
     """
     import numpy as np
 
     lead, *rest = (c % p for c in reversed(coeffs))
     if not rest:
-        return np.full(xs.shape, lead, dtype=np.int64)
+        return np.full(xs.shape, lead, dtype=np.int64), lead
     acc = xs if lead == 1 else xs * lead
     bound = lead * (p - 1)
     for i, c in enumerate(rest):
@@ -137,9 +148,37 @@ def _eval_poly(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
         if c:
             acc = acc + c if acc is xs else np.add(acc, c, out=acc)
             bound += c
+    return acc, bound
+
+
+def _eval_poly(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
+    """f(x) mod p for every x in xs (int64, each in [0, p)): _horner, then
+    one reduction if the value can have reached p.  The result may be xs
+    itself, so callers do not write into it."""
+    acc, bound = _horner(coeffs, xs, p)
     if bound >= p:
         _tables.reduce_mod(acc, p)
     return acc
+
+
+def _eval_laurent(
+    high: tuple[int, ...], low: tuple[int, ...], xs: np.ndarray, inv: np.ndarray, p: int
+) -> np.ndarray:
+    """high(x) + low(x^(-1)) mod p for every unit x in xs, inv holding their
+    inverses: each part by _horner, then the sum reduced once, so that
+    x^2 + a/x costs one reduction per point.  xs may be a read-only view."""
+    import numpy as np
+
+    vals, bound = _horner(high, xs, p)
+    tail, tail_bound = _horner(low, inv, p)
+    if bound + tail_bound >= 1 << 63:
+        # only for p above 2.1e9; then bound >= p, so vals is not xs
+        _tables.reduce_mod(vals, p)
+        bound = p - 1
+    vals = vals + tail if vals is xs else np.add(vals, tail, out=vals)
+    if bound + tail_bound >= p:
+        _tables.reduce_mod(vals, p)
+    return vals
 
 
 def _blocks(lo: int, hi: int):
@@ -154,12 +193,17 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     """Count distinct values of f over the domain, by enumeration.
 
     Denominator zeros are skipped; if every point is one, EmptyDomain is
-    raised.  A constant denominator d is folded into the numerator's
-    coefficients as d^(-1) mod p, so a polynomial needs no inverse table.
-    O(p) time; p bytes plus one block of BRUTE_BLOCK points, on top of the
-    cached inverse table for a non-constant denominator.  The modulus is
-    capped where int64 products stop being exact (~3.0e9); enumeration is
-    impractical long before that.
+    raised.  A monomial denominator c x^j (every other coefficient 0 mod p)
+    has c^(-1) folded into the numerator's coefficients, so no count of
+    x^2 + a/x, x + a/(2x^2) or a polynomial builds an inverse table.  A
+    polynomial (j = 0) is evaluated at x = 0, 1, ..., p - 1.  For j >= 1
+    the domain is the units either way: they are walked as x = pw[k] of the
+    cached _tables.unit_powers, with x^(-1) = pw[p-1-k] the same table read
+    backwards, and f(x) = high(x) + low(x^(-1)) by _eval_laurent.  Any other
+    denominator is inverted through the cached _tables.inv_table.  O(p)
+    time; p bytes plus one block of BRUTE_BLOCK points on top of the cached
+    table.  The modulus is capped where int64 products stop being exact
+    (~3.0e9); enumeration is impractical long before that.
     """
     import numpy as np
 
@@ -168,29 +212,44 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
         raise ValueError(f"f must be a RationalMap, got {f!r}")
     if not isinstance(domain, Domain):
         raise ValueError(f"domain must be a Domain, got {domain!r}")
-    inv = None
-    if len(f.denominator) > 1:
-        inv = _tables.inv_table(p)
-    elif f.denominator[0] % p == 0:
+    terms = [j for j, c in enumerate(f.denominator) if c % p]
+    if not terms:
         raise EmptyDomain(f"denominator vanishes on the whole domain mod {p}")
-    else:
-        d_inv = pow(f.denominator[0], -1, p)
-        poly = tuple(c * d_inv for c in f.numerator)
+    start = 0 if domain is Domain.ALL else 1
     seen = np.zeros(p, dtype=bool)
-    for xs in _blocks(0 if domain is Domain.ALL else 1, p):
-        if inv is None:
-            vals = _eval_poly(poly, xs, p)
+    # each loop drops a block's arrays before the next block is built
+    if len(terms) == 1:
+        j = terms[0]
+        c_inv = pow(f.denominator[j], -1, p)
+        poly = tuple(c * c_inv for c in f.numerator)
+        if j == 0:
+            for xs in _blocks(start, p):
+                seen[_eval_poly(poly, xs, p)] = True
+                del xs
         else:
+            # poly(x) / x^j = high(x) + low(1/x): high holds poly's terms of
+            # degree j and up, low the rest, a polynomial in 1/x of degree j
+            poly += (0,) * (j + 1 - len(poly))
+            high, low = poly[j:], (0,) + poly[j - 1 :: -1]
+            pw = _tables.unit_powers(p)
+            rev = pw[::-1]  # rev[k] = g^(p-1-k), the inverse of pw[k] = g^k
+            for lo in range(0, p - 1, BRUTE_BLOCK):
+                hi = min(lo + BRUTE_BLOCK, p - 1)
+                seen[_eval_laurent(high, low, pw[lo:hi], rev[lo:hi], p)] = True
+    else:
+        inv = _tables.inv_table(p)
+        for xs in _blocks(start, p):
             num = _eval_poly(f.numerator, xs, p)
             den = _eval_poly(f.denominator, xs, p)
+            del xs  # before the gather, which makes a temporary of its own
             ok = den != 0
             if not ok.all():
-                num = num[ok]
-                den = den[ok]
+                num, den = num[ok], den[ok]
             vals = inv[den]
             vals *= num
-            _tables.reduce_mod(vals, p)
-        seen[vals] = True
+            del num, den, ok  # before the reduction's quotient
+            seen[_tables.reduce_mod(vals, p)] = True
+            del vals
     # every point off the denominator's zeros marks one value
     v = int(np.count_nonzero(seen))
     if v == 0:
@@ -226,7 +285,7 @@ def family_counts(p: int) -> np.ndarray:
     from numpy.lib.stride_tricks import sliding_window_view
 
     n_units = p - 1
-    pw = _tables.unit_powers(p)
+    pw = _tables.unit_powers(p)[:n_units]  # every unit once
     k = _tables.reduce_mod(np.arange(0, -2 * n_units, -2, dtype=np.int64), n_units)
     sq = pw[k]
     counts = np.empty(p, dtype=np.int64)

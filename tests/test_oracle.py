@@ -191,6 +191,25 @@ def test_eval_poly_equals_python_horner(p):
         assert xs.tolist() == [0, 1, p - 2, p - 1]  # read, never written
 
 
+@pytest.mark.parametrize("p", [7, 1_000_003, P_MAX_ENUM])
+def test_eval_laurent_equals_python(p):
+    # high(x) + low(1/x) with every coefficient p - 1 at x = p - 1 makes
+    # both parts' bounds p(p - 1), whose sum passes 2^63 at P_MAX_ENUM
+    xs = np.array([1, 2, p - 2, p - 1], dtype=np.int64)
+    xs.flags.writeable = False  # vp_brute passes views of a read-only table
+    inv = np.array([pow(int(x), -1, p) for x in xs], dtype=np.int64)
+    pool = (0, 1, -1, p - 1, p, 3 * p + 2)
+    rng = random.Random(p)
+    cases = [((c,) * n, (0,) + (c,) * m) for c in (0, 1, p - 1) for n in (1, 2, 3) for m in (1, 2, 3)]
+    for _ in range(300):
+        high = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
+        cases.append((high, (0,) + tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))))
+    for high, low in cases:
+        got = oracle._eval_laurent(high, low, xs, inv, p)
+        want = [(horner(high, int(x), p) + horner(low, int(y), p)) % p for x, y in zip(xs, inv)]
+        assert got.tolist() == want, (high, low)
+
+
 @pytest.mark.parametrize("p", [5, 1_000_003, P_MAX_ENUM])
 @pytest.mark.parametrize("below", [0, 1])
 def test_reduce_mod_equals_python_mod(p, below):
@@ -235,17 +254,27 @@ def test_jacobsthal_brute_memory_is_the_symbols_plus_one_block():
     assert peak < 4 * p
 
 
-def test_vp_brute_memory_is_the_bitmap_plus_one_block():
-    p = 1_000_003
-    f = RationalMap.x2_plus_a_over_x(5)
-    _tables.inv_table(p)  # the cached table is not the count's memory
+def vp_brute_peak(f: RationalMap, p: int) -> int:
+    """The tracemalloc peak of one count of f over the units mod p."""
     tracemalloc.start()
     try:
         vp_brute(f, p, Domain.NONZERO)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * p
+
+
+def test_vp_brute_memory_is_the_bitmap_plus_one_block():
+    p = 1_000_003
+    _tables.unit_powers(p)  # the cached table is not the count's memory
+    assert vp_brute_peak(RationalMap.x2_plus_a_over_x(5), p) < 2 * p
+
+
+def test_vp_brute_memory_with_the_inverse_table_is_the_bitmap_plus_one_block():
+    # 1/(x^2 - 1) is no monomial: its count gathers from the inverse table
+    p = 1_000_003
+    _tables.inv_table(p)
+    assert vp_brute_peak(RationalMap((1,), (-1, 0, 1)), p) < 2 * p
 
 
 def test_oracle_arguments_must_be_integers():
@@ -472,6 +501,37 @@ def test_a_polynomial_count_builds_no_inverse_table():
     assert _tables.inv_table.cache_info().misses == 0
 
 
+def test_monomial_denominator_counts_equal_python_values(monkeypatch):
+    # a denominator c x^j walks the units by the power table and reads the
+    # inverses off it backwards: blocks of 3 units cross block edges at
+    # every p > 3, after k = 0 (x = 1, whose inverse is the table's last
+    # entry); extra coefficients 0 mod p leave a monomial.  None of these
+    # counts builds the inverse table.
+    monkeypatch.setattr(oracle, "BRUTE_BLOCK", 3)
+    _tables.inv_table.cache_clear()
+    for p in primes_upto(101):
+        dens = [(0, 1), (0, 0, 2), (0, 0, 0, -3), (0, 1, p), (0, p, 3), (p, 0, 0, p + 5, -2 * p)]
+        nums = [(0, 1), (1,), (p,), (3, -1, 2), (0, 0, 0, 0, 1)]
+        maps = [RationalMap.x2_plus_a_over_x(a) for a in range(p)]
+        maps += [RationalMap.x_plus_a_over_2x2(a) for a in range(p)]
+        maps += [RationalMap(num, den) for num in nums for den in dens]
+        for f in maps:
+            for domain in Domain:
+                want = python_values(f, p, domain)
+                if not want:  # x + a/(2x^2) at p = 2
+                    with pytest.raises(EmptyDomain):
+                        vp_brute(f, p, domain)
+                    continue
+                got = vp_brute(f, p, domain, want_bitmap=True)
+                assert got.v == len(want), (f, p, domain)
+                assert np.flatnonzero(got.attained).tolist() == sorted(want), (f, p, domain)
+        for den in ((0,), (p,), (0, p), (p, 0, -2 * p)):
+            for domain in Domain:
+                with pytest.raises(EmptyDomain):
+                    vp_brute(RationalMap((1, 0, 0, 1), den), p, domain)
+    assert _tables.inv_table.cache_info().misses == 0
+
+
 def test_jacobsthal_all_refuses_an_inexact_transform(monkeypatch):
     irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.4)
@@ -495,7 +555,7 @@ def test_jacobsthal_oracles_keep_nothing_allocated():
 
 
 #: The tables that callers read again, and so the only ones per_prime caches.
-PER_PRIME_TABLES = (_tables.inv_table, family_counts, t_preimage_counts)
+PER_PRIME_TABLES = (_tables.unit_powers, _tables.inv_table, family_counts, t_preimage_counts)
 
 
 def test_per_prime_decorates_exactly_the_tables_read_again():
@@ -533,12 +593,12 @@ def test_every_sweep_check_finishes_a_prime_before_the_next():
 
 
 def test_per_prime_keeps_one_prime():
-    # after counts at two large primes only the second inverse table (8p
+    # after counts at two large primes only the second power table (8p
     # bytes) stays allocated; a cache of two primes would keep 16p
     p, q = 1_000_003, 1_000_033
     f = RationalMap.x2_plus_a_over_x(1)
     vp_brute(f, 13, Domain.NONZERO)  # numpy is imported on first use and stays
-    _tables.inv_table.cache_clear()
+    _tables.unit_powers.cache_clear()
     tracemalloc.start()
     try:
         vp_brute(f, p, Domain.NONZERO)
@@ -660,7 +720,9 @@ def test_check_enumerable_accepts_exactly_the_primes():
 @pytest.mark.parametrize("f", [(1, 0, 0, 1), None])
 def test_vp_brute_refuses_an_f_that_is_no_rational_map(f):
     # a tuple used to build the inverse table and then fail with AttributeError
+    _tables.unit_powers.cache_clear()
     _tables.inv_table.cache_clear()
     with pytest.raises(ValueError, match="f must be a RationalMap"):
         vp_brute(f, 7, Domain.ALL)
+    assert _tables.unit_powers.cache_info().misses == 0
     assert _tables.inv_table.cache_info().misses == 0
