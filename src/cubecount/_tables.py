@@ -4,12 +4,14 @@ Products of two residues must stay exact in int64, which caps the
 enumerable modulus at isqrt(2**63), and the tables hold only mod a prime;
 every enumerating entry point checks both with check_enumerable before it
 allocates anything.  per_prime is the one cache policy for the O(p)
-tables: p checked, table built, marked read-only, and kept for the one
-prime last asked for.  It holds four.  unit_powers here, the powers of
-the least primitive root, is read by inv_table and family_counts when
-they build and by vp_brute, which walks the units by it for a monomial
-denominator c x^j (j >= 1).  inv_table here is read by vp_brute for any
-other non-constant denominator and by cubicres.t_preimage_counts.
+tables: p checked, the last prime's table dropped, the new one built,
+marked read-only, and kept for the one prime last asked for.  It holds
+four.  unit_powers here, the powers of the least primitive root, is read
+by inv_table and family_counts when they build, by vp_brute, which walks
+the units by it for a monomial denominator c x^j (j >= 1), and by the
+Jacobsthal oracles, which read the squares and cubes of the units off it
+as strided views.  inv_table here is read by vp_brute for any other
+non-constant denominator and by cubicres.t_preimage_counts.
 oracle.family_counts serves four sweep checks, and
 cubicres.t_preimage_counts one lookup per t.  reduce_mod is
 the one way an array is reduced mod p anywhere in the package: numpy's
@@ -23,6 +25,7 @@ so importing the package costs no numpy import until a table is built.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from numbers import Integral
@@ -127,24 +130,50 @@ def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+#: What cache_info returns, with the field names of functools.lru_cache's.
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
 def per_prime(build):
     """Memoise an O(p) table builder: build(p) -> read-only ndarray.
 
-    The returned function checks p with check_enumerable, builds the table
-    from the int that returns, marks it read-only, and keeps the table of
-    the last prime only: every caller finishes one prime before it starts
-    the next, so a second slot would never be read.  It is the cache
-    wrapper itself, with cache_info, cache_clear and cache_parameters; keys
-    are typed, so 7.0 is checked (and refused) even after 7 is cached.
+    The returned function keeps the table of the last prime only: every
+    caller finishes one prime before it starts the next, so a second slot
+    would never be read.  A plain int equal to the cached prime is a hit at
+    once; any other p is checked with check_enumerable first, and the slot
+    is keyed on the int that returns, so 13 and np.int64(13) share one
+    table and 13.0 is refused even while 13 is cached.  A miss drops the
+    old table before it builds the new one, so a switch of primes never
+    holds both.  The table is marked read-only.  cache_info, cache_clear
+    and cache_parameters work as on functools.lru_cache(maxsize=1).
     """
+    key = table = None
+    hits = misses = 0
 
     @functools.wraps(build)
-    def table(p: int) -> np.ndarray:
-        out = build(check_enumerable(p))
+    def cached(p: int) -> np.ndarray:
+        nonlocal key, table, hits, misses
+        if type(p) is not int or p != key:
+            p = check_enumerable(p)
+        if p == key:
+            hits += 1
+            return table
+        misses += 1
+        key = table = None
+        out = build(p)
         out.flags.writeable = False
+        key, table = p, out
         return out
 
-    return functools.lru_cache(maxsize=1, typed=True)(table)
+    def cache_clear() -> None:
+        nonlocal key, table, hits, misses
+        key = table = None
+        hits = misses = 0
+
+    cached.cache_info = lambda: CacheInfo(hits, misses, 1, int(key is not None))
+    cached.cache_clear = cache_clear
+    cached.cache_parameters = lambda: {"maxsize": 1, "typed": False}
+    return cached
 
 
 def _prime_factors(n: int) -> list[int]:

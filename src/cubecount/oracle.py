@@ -17,15 +17,19 @@ oracles they never use cubic-class theory or a closed-form identity.  Of
 the tables here only family_counts is cached per prime; vp_brute reads the
 cached _tables.unit_powers for a monomial denominator, walking the units
 in the same order, and _tables.inv_table for any other non-constant one.
+The Jacobsthal oracles read the same power table: the nonzero squares are
+its even powers, and the cubes of the units are three stride-3 views of it.
 
-The per-parameter oracles stream: vp_brute and jacobsthal_brute evaluate
-BRUTE_BLOCK points at a time, so each holds one p-byte array (the bitmap of
-attained values, or the int8 Legendre symbols) plus one block.  Their
-polynomials go through _horner, which reduces mod p only where a value
-can have reached p, with _tables.reduce_mod: a floor division at under
-half the cost of numpy's int64 %, and still the dearest step.  Over a
-monomial denominator c x^j, _eval_laurent evaluates f as a polynomial in
-x plus one in 1/x and reduces their sum once.
+The per-parameter oracles stream: vp_brute and jacobsthal_brute read
+BRUTE_BLOCK points at a time, so each holds one or two p-byte arrays (the
+bitmap of attained values, or the int8 Legendre symbols and their rotation
+by m) plus one block.  vp_brute's polynomials go through _horner, which
+reduces mod p only where a value can have reached p, with
+_tables.reduce_mod: a floor division at under half the cost of numpy's
+int64 %, and still the dearest step.  Over a monomial denominator c x^j,
+_eval_laurent evaluates f as a polynomial in x plus one in 1/x and reduces
+their sum once.  jacobsthal_brute computes nothing per point: it gathers
+the rotated symbols at the cube views and sums.
 """
 
 from __future__ import annotations
@@ -114,8 +118,8 @@ class CountResult:
 #: quotient, or the values and the gather's temporary).  tracemalloc peaks
 #: at p = 1,000,003, in bytes per residue: 1.40 for x^2 + 5/x (1.81 when
 #: the last block stayed bound) and for a cubic over Z_p, 1.54 for
-#: 1/(x^2 - 1).  jacobsthal_brute holds three (y, y^3 + m and the
-#: quotient) next to its p int8 symbols.
+#: 1/(x^2 - 1).  jacobsthal_brute holds one int8 array of this length
+#: (the gathered symbols) next to its 2p bytes of symbols and rotation.
 BRUTE_BLOCK = 1 << 14
 
 
@@ -340,31 +344,54 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
 
 def _legendre_symbols(p: int) -> np.ndarray:
     """The Legendre symbols (v/p) over v in [0, p) as int8: +1 exactly on the
-    nonzero squares (the definition, not Euler's criterion), scattered from
-    y^2 mod p a block at a time.  y runs to p // 2 only, since (p - y)^2 = y^2."""
+    nonzero squares (the definition, not Euler's criterion).  With y = g^k
+    (_tables.unit_powers), y^2 = g^(2k mod (p - 1)) runs twice over the even
+    powers pw[0:p-1:2], so the squares are one scatter of that view, with no
+    multiply or reduction."""
     import numpy as np
 
     symbols = np.full(p, -1, dtype=np.int8)
     symbols[0] = 0
-    for ys in _blocks(1, p // 2 + 1):
-        symbols[_eval_poly((0, 0, 1), ys, p)] = 1
+    symbols[_tables.unit_powers(p)[: p - 1 : 2]] = 1
     return symbols
+
+
+def _cube_views(p: int) -> list[np.ndarray]:
+    """y^3 over every unit y, as three stride-3 views of _tables.unit_powers.
+
+    With y = g^k and 3k in [t(p - 1), (t + 1)(p - 1)), y^3 = pw[3k - t(p - 1)],
+    so view t is pw[(-t(p - 1)) mod 3 : p - 1 : 3], for t = 0, 1, 2.  For
+    p = 1 (mod 3) the three are the same slice, each y^3 thrice; every view
+    is still read in full, not one counted three times, which would take the
+    3-to-1 cubing map from cubic-residue theory.
+    """
+    pw = _tables.unit_powers(p)
+    return [pw[-t * (p - 1) % 3 : p - 1 : 3] for t in range(3)]
 
 
 def jacobsthal_brute(m: int, p: int) -> int:
     """The cubic Jacobsthal sum (m/p) * sum_{y=1}^{p-1} ((y^3 + m)/p).
 
-    Straight from the definition via the Legendre symbols, with y^3 + m
-    reduced mod p a block of BRUTE_BLOCK at a time: about 1 byte per residue
-    (the symbols) plus one block.  Equals -1 for every nonzero m when p > 2
-    and p = 2 (mod 3), and is bounded by 2*sqrt(p) + 1 in absolute value.
+    Straight from the definition via the Legendre symbols: rotated by m,
+    rotated[c] = ((c + m)/p), they are gathered at the cubes of
+    _cube_views a block of BRUTE_BLOCK at a time and summed, with no add or
+    reduction per point.  About 2 bytes per residue (the symbols and their
+    rotation) plus one block, on top of the cached power table.  Equals -1
+    for every nonzero m when p > 2 and p = 2 (mod 3), and is bounded by
+    2*sqrt(p) + 1 in absolute value.
     """
+    import numpy as np
+
     p = _tables.check_enumerable(p)
     m = _tables.check_int("m", m) % p
     if m == 0:
         raise ZeroArgument("m must be nonzero mod p")
     symbols = _legendre_symbols(p)
-    total = sum(int(symbols[_eval_poly((m, 0, 0, 1), ys, p)].sum()) for ys in _blocks(1, p))
+    rotated = np.roll(symbols, -m)
+    total = 0
+    for cubes in _cube_views(p):
+        for lo in range(0, len(cubes), BRUTE_BLOCK):
+            total += int(rotated[cubes[lo : lo + BRUTE_BLOCK]].sum())
     return int(symbols[m]) * total
 
 

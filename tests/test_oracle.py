@@ -29,7 +29,15 @@ from cubecount.oracle import (
     vp_brute,
 )
 from cubecount.sweep import run_sweep
-from helpers import cubes_mod, primes_1mod3, primes_upto, sieve_upto, time_limit, trial_factor
+from helpers import (
+    cubes_mod,
+    primes_1mod3,
+    primes_upto,
+    sieve_upto,
+    squares_mod,
+    time_limit,
+    trial_factor,
+)
 
 
 def test_rational_map_constructors():
@@ -242,9 +250,29 @@ def test_streamed_jacobsthal_matches_python(p):
         assert jacobsthal_brute(m, p) == chi[m] * sum(chi[(c + m) % p] for c in cubes), m
 
 
+def test_cube_views_are_the_cubes_of_every_unit():
+    # as a multiset: each unit's cube once, so thrice over for p = 1 (mod 3)
+    for p in primes_upto(101):
+        views = oracle._cube_views(p)
+        assert len(views) == 3
+        got = sorted(np.concatenate(views).tolist())
+        assert got == sorted(pow(y, 3, p) for y in range(1, p)), p
+
+
+def test_jacobsthal_sums_at_one_prime_build_one_power_table():
+    p = 1_000_003
+    _tables.unit_powers.cache_clear()
+    _tables.inv_table.cache_clear()
+    for m in (1, 2, 3, 5, 7):
+        jacobsthal_brute(m, p)
+    assert _tables.unit_powers.cache_info().misses == 1
+    assert _tables.inv_table.cache_info().misses == 0
+
+
 def test_jacobsthal_brute_memory_is_the_symbols_plus_one_block():
     p = 1_000_003
     jacobsthal_brute(1, 13)  # numpy is imported on first use and stays
+    _tables.unit_powers(p)  # the cached table is not the call's memory
     tracemalloc.start()
     try:
         jacobsthal_brute(5, p)
@@ -409,16 +437,17 @@ def test_jacobsthal_examples():
         jacobsthal_brute(26, 13)
 
 
-def test_jacobsthal_matches_pure_python():
-    # same definition, but scalar pow-based Legendre symbols instead of the
-    # vectorised residue tables
-    def scalar(m, p):
-        tail = sum(legendre(pow(y, 3, p) + m, p) for y in range(1, p))
-        return legendre(m, p) * tail
-
-    for p in primes_upto(60, start=5):
+def test_jacobsthal_matches_pure_python(monkeypatch):
+    # same definition, with the symbols from a set of Python squares and
+    # the cubes from pow; blocks of 3 cubes put block edges inside each of
+    # the oracle's three cube views
+    monkeypatch.setattr(oracle, "BRUTE_BLOCK", 3)
+    for p in primes_upto(101):
+        squares = squares_mod(p)
+        chi = [0] + [1 if v in squares else -1 for v in range(1, p)]
+        cubes = [pow(y, 3, p) for y in range(1, p)]
         for m in range(1, p):
-            assert jacobsthal_brute(m, p) == scalar(m, p)
+            assert jacobsthal_brute(m, p) == chi[m] * sum(chi[(c + m) % p] for c in cubes), (m, p)
 
 
 def test_jacobsthal_constant_on_2mod3():
@@ -544,6 +573,7 @@ def test_jacobsthal_oracles_keep_nothing_allocated():
     # both oracles less than one int8 table of p bytes stays allocated
     p = 1_000_003
     jacobsthal_all(13)  # numpy.fft is imported on first use and stays
+    _tables.unit_powers(p)  # the cached table is not the oracles' memory
     tracemalloc.start()
     try:
         jacobsthal_brute(5, p)
@@ -607,6 +637,36 @@ def test_per_prime_keeps_one_prime():
     finally:
         tracemalloc.stop()
     assert kept < 10 * p
+
+
+def test_per_prime_drops_the_old_table_before_it_builds_the_new():
+    # a switch of primes holds one power table (8 bytes per residue) at a
+    # time, plus the doubling's block; keeping the old one would peak at 16
+    p, q = 1_000_003, 1_000_033
+    _tables.unit_powers(13)  # numpy is imported on first use and stays
+    _tables.unit_powers.cache_clear()
+    tracemalloc.start()
+    try:
+        _tables.unit_powers(p)
+        _tables.unit_powers(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * q
+    assert _tables.unit_powers.cache_info().misses == 2
+
+
+def test_per_prime_shares_one_slot_across_integer_types():
+    _tables.inv_table.cache_clear()
+    first = _tables.inv_table(13)
+    assert _tables.inv_table(np.int64(13)) is first
+    assert _tables.inv_table(13) is first
+    info = _tables.inv_table.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 1, 1, 1)
+    with pytest.raises(ValueError, match="must be an integer"):
+        _tables.inv_table(13.0)
+    _tables.inv_table.cache_clear()
+    assert _tables.inv_table.cache_info() == (0, 0, 1, 0)
 
 
 def enumerating_calls(p: int) -> dict:
