@@ -16,10 +16,12 @@ oracle.family_counts serves four sweep checks, and
 cubicres.t_preimage_counts one lookup per t.  reduce_mod is
 the one way an array is reduced mod p anywhere in the package: numpy's
 int64 % costs about four times its floor division.  is_prime, the
-package's one primality test, and check_int, its one rule for what an
-integer argument is, live here so that the oracles and modarith can both
-import them.  numpy is imported on first use, inside the table builders,
-so importing the package costs no numpy import until a table is built.
+package's one primality test (Baillie-PSW below 2**64: one strong
+probable-prime round to base 2 and one strong Lucas test, with no table),
+and check_int, its one rule for what an integer argument is, live here so
+that the oracles and modarith can both import them.  numpy is imported on
+first use, inside the table builders, so importing the package costs no
+numpy import until a table is built.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import functools
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -39,41 +42,104 @@ if TYPE_CHECKING:
 #: Largest modulus for which (p-1)**2 still fits in int64.
 MAX_ENUM_PRIME = 3_037_000_499
 
-# Sinclair's seven Miller-Rabin bases decide every n < 2**64 (a base that
-# is 0 mod n is skipped).  The first twelve primes are fooled by
-# 318665857834031151167461 = 399165290221 * 798330580441; the first 13
-# decide every n < _MR_LIMIT (Sorenson & Webster, Math. Comp. 2017).
-_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# Every odd n < 2**64 with no prime factor up to 41 is decided by one strong
+# probable-prime round to base 2 and one strong Lucas test with Selfridge's
+# parameters (Baillie-PSW): no composite below 2**64 passes both (Gilchrist
+# checked Feitsma's list of base-2 pseudoprimes), and neither needs a table.
+# Above that the first 13 primes are the Miller-Rabin bases: the first twelve
+# are fooled by 318665857834031151167461 = 399165290221 * 798330580441; the
+# first 13 decide every n < _MR_LIMIT (Sorenson & Webster, Math. Comp. 2017).
 _MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin after trial division by the primes to 41:
-    exact below _MR_LIMIT (3.3e24); ValueError from there on and for a non-int."""
+    """Trial division by the primes to 41, which decides every n < 43**2;
+    then Baillie-PSW (a strong probable-prime round to base 2, then
+    _strong_lucas_prp) below 2**64, and Miller-Rabin to the 13 bases
+    _MR_PRIMES from there.  Exact and deterministic below _MR_LIMIT
+    (3.3e24); ValueError from there on and for a non-int."""
     n = check_int("n", n)
     if n < 2:
         return False
     for q in _MR_PRIMES:
         if n % q == 0:
             return n == q
+    if n < 1849:
+        return True
     if n >= _MR_LIMIT:
         raise ValueError(f"no deterministic primality test is known for n >= {_MR_LIMIT}")
+    if n < 1 << 64:
+        return _strong_prp(n, 2) and _strong_lucas_prp(n)
+    return all(_strong_prp(n, a) for a in _MR_PRIMES)
+
+
+def _strong_prp(n: int, a: int) -> bool:
+    """Whether the odd n > a is a strong probable prime to base a."""
     r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
-    d = (n - 1) >> r
-    for a in _MR_BASES_64 if n < 1 << 64 else _MR_PRIMES:
-        if a % n == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(a, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for an odd n > 0, by binary reciprocity."""
+    a %= n
+    t = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a & n & 3 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Whether the odd n > 1 with no prime factor up to 41 is a strong Lucas
+    probable prime for Selfridge's parameters: D the first of 5, -7, 9,
+    -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4.
+
+    With n + 1 = d 2^s, d odd, that is U_d = 0 or V_(d 2^r) = 0 (mod n) for
+    some 0 <= r < s.  V_d comes from a ladder on (V_k, V_(k+1), Q^k), three
+    products mod n per bit of d; D is a unit mod n, so 2 V_(d+1) - V_d =
+    D U_d is 0 exactly when U_d is.  A square n has (D/n) = -1 for no D, so
+    it is refused before the search for D.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # D shares a factor with n; |D| stays far below n
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    v, w, qk = 1, (1 - 2 * Q) % n, Q % n  # V_1, V_2, Q^1
+    for bit in bin(d)[3:]:
+        if bit == "1":  # k -> 2k + 1
+            v, w = (v * w - qk) % n, (w * w - 2 * Q * qk) % n
+            qk = qk * qk * Q % n
+        else:  # k -> 2k
+            v, w = (v * v - 2 * qk) % n, (v * w - qk) % n
+            qk = qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def check_int(name: str, value) -> int:

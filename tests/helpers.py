@@ -39,6 +39,28 @@ def sieve_upto(n: int) -> np.ndarray:
     return flags
 
 
+def miller_rabin_64(n: int) -> bool:
+    """Primality of 0 <= n < 2**64 by Miller-Rabin to Sinclair's seven bases,
+    which no composite below 2**64 passes; a base that is 0 mod n is skipped.
+    n is a strong probable prime to base a when, with n - 1 = d 2^s and d
+    odd, a^d = 1 or a^(d 2^r) = -1 (mod n) for some 0 <= r < s."""
+    assert 0 <= n < 1 << 64
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 325, 9375, 28178, 450775, 9780504, 1795265022):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
+
+
 def primes_upto(n: int, start: int = 2) -> list[int]:
     return [int(p) for p in np.flatnonzero(sieve_upto(n)) if p >= start]
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubecount import modarith
+from cubecount import _tables, modarith
 from cubecount.errors import CompositeModulus, ZeroInverse
 from cubecount.modarith import (
     MAX_PRIME,
@@ -19,7 +19,7 @@ from cubecount.modarith import (
     legendre,
     rational_mod,
 )
-from helpers import primes_upto, sieve_upto, squares_mod, trial_factor
+from helpers import miller_rabin_64, primes_upto, sieve_upto, squares_mod, time_limit, trial_factor
 
 
 def test_inv_mod_examples_and_zero():
@@ -110,8 +110,9 @@ def test_is_prime_examples():
 
 
 def test_is_prime_matches_strong_bpsw():
-    # BPSW is an independent test: sympy.isprime uses the same seven
-    # Miller-Rabin bases below 2**64, so it would be no second route.
+    # Two routes on the same inputs: the seven-base Miller-Rabin of
+    # helpers, written from the definition, and sympy's Baillie-PSW, the
+    # method is_prime uses below 2**64, written independently of it.
     primetest = pytest.importorskip("sympy.ntheory.primetest")
     bpsw = primetest.is_strong_bpsw_prp
     rng = random.Random(20261018)
@@ -120,9 +121,42 @@ def test_is_prime_matches_strong_bpsw():
     products = [rng.choice(primes31) * rng.choice(primes31) for _ in range(2_000)]
     # strong pseudoprimes to the bases 2; 2, 3, 5; 2 to 7; and 2 to 31
     pseudoprimes = [2047, 25326001, 3215031751, 3825123056546413051]
-    bad = [n for n in odd + products + pseudoprimes if is_prime(n) != bpsw(n)]
-    assert bad == []
-    assert sum(map(is_prime, odd)) > 500  # both answers occur
+    inputs = odd + products + pseudoprimes
+    got = [is_prime(n) for n in inputs]
+    assert [n for n, g in zip(inputs, got) if g != miller_rabin_64(n)] == []
+    assert [n for n, g in zip(inputs, got) if g != bpsw(n)] == []
+    assert sum(got[: len(odd)]) > 500  # both answers occur
+
+
+def test_strong_lucas_half_matches_sympy():
+    # every odd n in [43**2, 200000] that trial division passes on
+    lucas = pytest.importorskip("sympy.ntheory.primetest").is_strong_lucas_prp
+    small = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    ns = [n for n in range(1849, 200_001, 2) if all(n % q for q in small)]
+    got = [_tables._strong_lucas_prp(n) for n in ns]
+    assert [n for n, g in zip(ns, got) if g != lucas(n)] == []
+    assert 0 < sum(got) < len(ns)  # both answers occur
+
+
+def test_strong_lucas_pseudoprimes_fail_the_base_2_round():
+    # strong Lucas pseudoprimes for Selfridge's parameters (OEIS A217255)
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert _tables._strong_lucas_prp(n), n
+        assert not is_prime(n), n
+
+
+def test_squares_are_refused_at_once():
+    # 1093**2 and 3511**2 (Wieferich primes squared) are strong
+    # pseudoprimes to base 2, so only the Lucas half refuses them; for a
+    # square no D has (D/n) = -1, so without the square test the search
+    # for D runs until |D| shares a factor with n.
+    assert not is_prime(1849)
+    with time_limit(2):
+        for n in (1093**2, 3511**2):
+            assert _tables._strong_prp(n, 2), n
+            assert not is_prime(n), n
+        for q in (1093, 3511, 4_294_967_291, 2**61 - 1):
+            assert not _tables._strong_lucas_prp(q * q), q
 
 
 def test_is_prime_matches_sieve():
