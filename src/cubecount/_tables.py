@@ -6,12 +6,12 @@ every enumerating entry point checks both with check_enumerable before it
 allocates anything.  per_prime is the one cache policy for the O(p)
 tables: p checked, the last prime's table dropped, the new one built,
 marked read-only, and kept for the one prime last asked for.  It holds
-four.  unit_powers here, the powers of the least primitive root, is read
-by inv_table and family_counts when they build, by vp_brute, which walks
-the units by it for a monomial denominator c x^j (j >= 1), and by the
-Jacobsthal oracles, which read the squares and cubes of the units off it
-as strided views.  inv_table here is read by vp_brute for any other
-non-constant denominator and by cubicres.t_preimage_counts.
+four.  unit_powers here, the powers of the least primitive root, is the
+one enumeration of the units: inv_table and family_counts read it when
+they build, vp_brute and np_cubic_roots walk the units by it, and the
+Jacobsthal oracles read the squares and cubes of the units off it as
+strided views.  inv_table here is read by vp_brute for a denominator that
+is no monomial and by cubicres.t_preimage_counts.
 oracle.family_counts serves four sweep checks, and
 cubicres.t_preimage_counts one lookup per t.  reduce_mod is
 the one way an array is reduced mod p anywhere in the package: numpy's
@@ -273,6 +273,7 @@ def unit_powers(p: int) -> np.ndarray:
     every unit once, in the order of its discrete logarithm, in pw[:-1],
     and pw[p - 1] = g^(p-1) = 1 = pw[0].  Since g^(-k) = g^(p-1-k), the
     table read backwards, pw[::-1], lists the inverses of pw, k = 0 too.
+    Every oracle that enumerates the units reads them off this table.
 
     O(p), filled by doubling, pw[n:2n] = pw[:n] * g^n mod p.
     """

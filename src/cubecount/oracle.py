@@ -6,30 +6,29 @@ the closed forms rely on.  numpy keeps the O(p) scans fast enough for
 exhaustive sweeps into the thousands; it is imported on first use, inside
 the functions that build arrays, so the closed-form layers never load it.
 
-Two batched kernels answer a whole family at one prime: ``family_counts``
-enumerates x^2 + a/x for every a at once, walking the units in the order
-of the powers of a primitive root so that a/x is a window of one power
-table and each cell costs one add and one scatter, and ``jacobsthal_all``
-gets every Jacobsthal sum by correlating the cube histogram with the
-Legendre symbols.  They only enumerate or correlate; indexing the units by
-a primitive root is an order of enumeration, and like the per-parameter
-oracles they never use cubic-class theory or a closed-form identity.  Of
-the tables here only family_counts is cached per prime; vp_brute reads the
-cached _tables.unit_powers for a monomial denominator, walking the units
-in the same order, and _tables.inv_table for any other non-constant one.
-The Jacobsthal oracles read the same power table: the nonzero squares are
-its even powers, and the cubes of the units are three stride-3 views of it.
+Every oracle here enumerates the units one way, as views of the cached
+_tables.unit_powers, pw[k] = g^k for a primitive root g: 1/x is the table
+read backwards, the squares its even powers and the cubes three stride-3
+views.  That is an order of enumeration; like everything here it uses no
+cubic-class theory and no closed-form identity.  x = 0, where an oracle
+takes it, is one scalar point.  Two batched kernels answer a whole family
+at one prime: family_counts, cached per prime, enumerates x^2 + a/x for
+every a at once, a/x a window of the doubled table, so each cell costs one
+add and one scatter; jacobsthal_all correlates the histogram of the cube
+views with the Legendre symbols.  vp_brute reads _tables.inv_table only
+for a denominator that is no monomial.
 
-The per-parameter oracles stream: vp_brute and jacobsthal_brute read
-BRUTE_BLOCK points at a time, so each holds one or two p-byte arrays (the
-bitmap of attained values, or the int8 Legendre symbols and their rotation
-by m) plus one block.  vp_brute's polynomials go through _horner, which
-reduces mod p only where a value can have reached p, with
-_tables.reduce_mod: a floor division at under half the cost of numpy's
-int64 %, and still the dearest step.  Over a monomial denominator c x^j,
-_eval_laurent evaluates f as a polynomial in x plus one in 1/x and reduces
-their sum once.  jacobsthal_brute computes nothing per point: it gathers
-the rotated symbols at the cube views and sums.
+The per-parameter oracles stream: vp_brute, np_cubic_roots and
+jacobsthal_brute read BRUTE_BLOCK units at a time, so on top of the cached
+table each holds at most one or two p-byte arrays (the bitmap of attained
+values, or the int8 Legendre symbols and their rotation by m) plus a few
+blocks.  Polynomials go through _horner, which reduces mod p only where a
+value can have reached p, with _tables.reduce_mod: a floor division at
+under half the cost of numpy's int64 %, and still the dearest step.  Over
+a monomial denominator c x^j, _eval_laurent evaluates f as a polynomial in
+x plus one in 1/x and reduces their sum once.  jacobsthal_brute computes
+nothing per point: it gathers the rotated symbols at the cube views and
+sums.
 """
 
 from __future__ import annotations
@@ -108,17 +107,16 @@ class CountResult:
     attained: np.ndarray | None = None
 
 
-#: Points x that the enumerating oracles evaluate at a time.  vp_brute
-#: drops each block's arrays before it builds the next, so next to its
-#: p-byte bitmap of attained values it holds at most three int64 arrays of
-#: this length for a polynomial (x, the values and the quotient temporary
-#: of _tables.reduce_mod) or a monomial denominator (the parts in x and in
-#: 1/x, and the quotient; x and 1/x are views of a cached table), and four
-#: for any other denominator (numerator, denominator, and x and the
-#: quotient, or the values and the gather's temporary).  tracemalloc peaks
-#: at p = 1,000,003, in bytes per residue: 1.40 for x^2 + 5/x (1.81 when
-#: the last block stayed bound) and for a cubic over Z_p, 1.54 for
-#: 1/(x^2 - 1).  jacobsthal_brute holds one int8 array of this length
+#: Units x that the enumerating oracles evaluate at a time.  x and 1/x are
+#: views of the cached power table, so a block holds only what is computed
+#: from them: at most two int64 arrays of this length for a polynomial (the
+#: values and the quotient temporary of _tables.reduce_mod), three for a
+#: monomial denominator (the parts in x and in 1/x, and the quotient) and
+#: four for any other (numerator, denominator, the values and the gather's
+#: temporary).  tracemalloc peaks at p = 1,000,003 with the table warm, in
+#: bytes per residue, vp_brute's p-byte bitmap included: 1.26 for a cubic
+#: over Z_p, 1.40 for x^2 + 5/x, 1.54 for 1/(x^2 - 1); 0.26 for
+#: np_cubic_roots.  jacobsthal_brute holds one int8 array of this length
 #: (the gathered symbols) next to its 2p bytes of symbols and rotation.
 BRUTE_BLOCK = 1 << 14
 
@@ -185,29 +183,22 @@ def _eval_laurent(
     return vals
 
 
-def _blocks(lo: int, hi: int):
-    """np.arange(lo, hi) as int64, BRUTE_BLOCK points at a time."""
-    import numpy as np
-
-    for start in range(lo, hi, BRUTE_BLOCK):
-        yield np.arange(start, min(start + BRUTE_BLOCK, hi), dtype=np.int64)
-
-
 def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) -> CountResult:
     """Count distinct values of f over the domain, by enumeration.
 
     Denominator zeros are skipped; if every point is one, EmptyDomain is
-    raised.  A monomial denominator c x^j (every other coefficient 0 mod p)
-    has c^(-1) folded into the numerator's coefficients, so no count of
-    x^2 + a/x, x + a/(2x^2) or a polynomial builds an inverse table.  A
-    polynomial (j = 0) is evaluated at x = 0, 1, ..., p - 1.  For j >= 1
-    the domain is the units either way: they are walked as x = pw[k] of the
-    cached _tables.unit_powers, with x^(-1) = pw[p-1-k] the same table read
-    backwards, and f(x) = high(x) + low(x^(-1)) by _eval_laurent.  Any other
-    denominator is inverted through the cached _tables.inv_table.  O(p)
-    time; p bytes plus one block of BRUTE_BLOCK points on top of the cached
-    table.  The modulus is capped where int64 products stop being exact
-    (~3.0e9); enumeration is impractical long before that.
+    raised.  Over Domain.ALL, x = 0 is one scalar point, f(0) = num[0] /
+    den[0] unless den[0] = 0 (mod p).  The units are walked a block of
+    BRUTE_BLOCK at a time as x = pw[k] of the cached _tables.unit_powers,
+    with x^(-1) = pw[p-1-k] the same table read backwards.  A monomial
+    denominator c x^j (every other coefficient 0 mod p) has c^(-1) folded
+    into the numerator: a polynomial (j = 0) goes through _eval_poly, and
+    for j >= 1 f(x) = high(x) + low(x^(-1)) through _eval_laurent.  Any
+    other denominator is inverted through the cached _tables.inv_table.
+    O(p) time; p bytes plus a few blocks on top of the cached tables, and a
+    cold prime builds and keeps the 8p-byte power table.  The modulus is
+    capped where int64 products stop being exact (~3.0e9); enumeration is
+    impractical long before that.
     """
     import numpy as np
 
@@ -216,44 +207,41 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
         raise ValueError(f"f must be a RationalMap, got {f!r}")
     if not isinstance(domain, Domain):
         raise ValueError(f"domain must be a Domain, got {domain!r}")
-    terms = [j for j, c in enumerate(f.denominator) if c % p]
+    num, den = f.numerator, f.denominator
+    terms = [j for j, c in enumerate(den) if c % p]
     if not terms:
         raise EmptyDomain(f"denominator vanishes on the whole domain mod {p}")
-    start = 0 if domain is Domain.ALL else 1
     seen = np.zeros(p, dtype=bool)
-    # each loop drops a block's arrays before the next block is built
-    if len(terms) == 1:
-        j = terms[0]
-        c_inv = pow(f.denominator[j], -1, p)
-        poly = tuple(c * c_inv for c in f.numerator)
-        if j == 0:
-            for xs in _blocks(start, p):
-                seen[_eval_poly(poly, xs, p)] = True
-                del xs
-        else:
-            # poly(x) / x^j = high(x) + low(1/x): high holds poly's terms of
-            # degree j and up, low the rest, a polynomial in 1/x of degree j
-            poly += (0,) * (j + 1 - len(poly))
-            high, low = poly[j:], (0,) + poly[j - 1 :: -1]
-            pw = _tables.unit_powers(p)
-            rev = pw[::-1]  # rev[k] = g^(p-1-k), the inverse of pw[k] = g^k
-            for lo in range(0, p - 1, BRUTE_BLOCK):
-                hi = min(lo + BRUTE_BLOCK, p - 1)
-                seen[_eval_laurent(high, low, pw[lo:hi], rev[lo:hi], p)] = True
+    if domain is Domain.ALL and den[0] % p:
+        seen[num[0] * pow(den[0], -1, p) % p] = True
+    j = terms[0] if len(terms) == 1 else None
+    if j is None:
+        inv_table = _tables.inv_table(p)
     else:
-        inv = _tables.inv_table(p)
-        for xs in _blocks(start, p):
-            num = _eval_poly(f.numerator, xs, p)
-            den = _eval_poly(f.denominator, xs, p)
-            del xs  # before the gather, which makes a temporary of its own
-            ok = den != 0
+        # poly(x) / x^j = high(x) + low(1/x): high holds poly's terms of
+        # degree j and up, low the rest, a polynomial in 1/x of degree j
+        c_inv = pow(den[j], -1, p)
+        poly = tuple(c * c_inv for c in num) + (0,) * (j + 1 - len(num))
+        high, low = poly[j:], (0,) + poly[:j][::-1]
+    pw = _tables.unit_powers(p)
+    units, rev = pw[: p - 1], pw[:0:-1]  # rev[k] = g^(p-1-k) = 1 / units[k]
+    for lo in range(0, p - 1, BRUTE_BLOCK):
+        xs, inv = units[lo : lo + BRUTE_BLOCK], rev[lo : lo + BRUTE_BLOCK]
+        if j is None:
+            n, d = _eval_poly(num, xs, p), _eval_poly(den, xs, p)
+            ok = d != 0
             if not ok.all():
-                num, den = num[ok], den[ok]
-            vals = inv[den]
-            vals *= num
-            del num, den, ok  # before the reduction's quotient
-            seen[_tables.reduce_mod(vals, p)] = True
-            del vals
+                n, d = n[ok], d[ok]
+            vals = inv_table[d]
+            vals *= n
+            del n, d, ok  # before the reduction's quotient
+            _tables.reduce_mod(vals, p)
+        elif j:
+            vals = _eval_laurent(high, low, xs, inv, p)
+        else:
+            vals = _eval_poly(high, xs, p)
+        seen[vals] = True
+        del vals  # before the next block's arrays
     # every point off the denominator's zeros marks one value
     v = int(np.count_nonzero(seen))
     if v == 0:
@@ -333,13 +321,20 @@ def discriminant_cubic(a1: int, a2: int, a3: int) -> int:
 
 
 def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
-    """Number of distinct roots of x^3 + a1 x^2 + a2 x + a3 mod p (0..3)."""
+    """Number of distinct roots of x^3 + a1 x^2 + a2 x + a3 mod p (0..3).
+
+    x = 0 is a root exactly when a3 = 0 (mod p); the units are read as in
+    vp_brute, BRUTE_BLOCK views of the cached _tables.unit_powers at a time.
+    """
     import numpy as np
 
     p = _tables.check_enumerable(p)
     a1, a2, a3 = (_tables.check_int("coefficient", c) for c in (a1, a2, a3))
-    vals = _eval_poly((a3, a2, a1, 1), np.arange(p, dtype=np.int64), p)
-    return int(np.count_nonzero(vals == 0))
+    units, cubic = _tables.unit_powers(p)[: p - 1], (a3, a2, a1, 1)
+    roots = int(a3 % p == 0)
+    for lo in range(0, p - 1, BRUTE_BLOCK):
+        roots += int(np.count_nonzero(_eval_poly(cubic, units[lo : lo + BRUTE_BLOCK], p) == 0))
+    return roots
 
 
 def _legendre_symbols(p: int) -> np.ndarray:
@@ -399,18 +394,20 @@ def jacobsthal_all(p: int) -> np.ndarray:
     """J[m] = jacobsthal_brute(m, p) for every m in [0, p), with J[0] = 0.
 
     sum_y ((y^3 + m)/p) is the cyclic correlation, at shift m, of the
-    histogram of nonzero cubes with the Legendre symbols; it is taken by
-    real FFT in O(p log p) and rounded.  Every exact sum is an integer, so
-    a float result further than 1/4 from one means the transform lost
-    precision, and InternalInconsistency is raised rather than a rounded
+    histogram of the nonzero cubes, each of the three _cube_views counted
+    in full, with the Legendre symbols; it is taken by real FFT in
+    O(p log p) and rounded.  Every exact sum is an integer, so a float
+    result further than 1/4 from one means the transform lost precision,
+    and InternalInconsistency is raised rather than a rounded
     guess returned.  Not cached: a caller keeps the vector it reads again.
     """
     import numpy as np
 
     p = _tables.check_enumerable(p)
     symbols = _legendre_symbols(p)
-    cubes = _eval_poly((0, 0, 0, 1), np.arange(1, p, dtype=np.int64), p)
-    hist = np.bincount(cubes, minlength=p)
+    hist = np.zeros(p, dtype=np.int64)
+    for cubes in _cube_views(p):
+        hist += np.bincount(cubes, minlength=p)
     sums = np.fft.irfft(np.fft.rfft(hist).conj() * np.fft.rfft(symbols), n=p)
     exact = np.rint(sums)
     err = float(np.abs(sums - exact).max())

@@ -12,9 +12,9 @@ The checks on the x^2 + a/x family read one table of counts per prime
 (family_counts), the Jacobsthal check one vector of sums (jacobsthal_all)
 and the t-map check one vector of preimage counts (t_preimage_counts).
 The closed form is evaluated per parameter, but theorem21, lemma23 and
-cor21 check p and take its rep once per prime: at a = 1 they compare the
-public function (vp_closed, jacobsthal_closed, vp_2a), at every other a
-its kernel (_vp, _jacobsthal, _vp_2a), which is the same arithmetic
+cor21 take p's rep once per prime: at a = 1 they compare the public
+function (vp_closed, jacobsthal_closed, vp_2a), which checks p, at every
+other a its kernel (_vp, _jacobsthal, _vp_2a), which is the same arithmetic
 without the argument checks and the result object.  cor21's cube test
 stays the public is_cubic_residue at every a, independent of vp_2a.  Rows
 are produced in ascending-p order and do not depend on how the work was
@@ -45,9 +45,8 @@ from .closedform import (
     jacobi_check,
 )
 from .cubicres import is_cubic_residue, t_preimage_counts
-from .modarith import checked_prime
 from .oracle import Domain, RationalMap, family_counts, jacobsthal_all, vp_brute
-from .quadform import _cached_a3b, _require_1mod3, represent_l27m
+from .quadform import _cached_a3b, represent_l27m
 
 __all__ = ["CHECKS", "ROW_FIELDS", "SweepReport", "primes_between", "run_sweep"]
 
@@ -99,7 +98,6 @@ def _compare(check: str, p: int, triples) -> tuple[int, list[dict]]:
 
 def check_theorem21(p: int):
     """Main count: vp_closed vs enumeration of x^2 + a/x, all nonzero a."""
-    p = checked_prime(p)
     rep = _cached_a3b(p) if p % 3 == 1 else None
     v1 = vp_closed(1, p).v
     counts = family_counts(p).tolist()
@@ -117,7 +115,6 @@ def check_lemma22(p: int):
 
 def check_lemma23(p: int):
     """Jacobsthal sums: closed form vs the definitional sum, all nonzero m."""
-    p = checked_prime(p)
     rep = _cached_a3b(p) if p % 3 == 1 else None
     j1 = jacobsthal_closed(1, p, rep)
     sums = jacobsthal_all(p).tolist()
@@ -129,7 +126,6 @@ def check_cor21(p: int):
     """Companion family x^2 + 2a/x vs vp_2a, plus the cube criterion."""
     if p % 3 != 1:
         return 0, []
-    p = _require_1mod3(p)
     rep = _cached_a3b(p)
     top = vp_2a(1, p).v  # the count of the cube class, 1 being a cube
     counts = family_counts(p).tolist()

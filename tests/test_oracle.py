@@ -59,6 +59,11 @@ def test_vp_brute_examples():
     for p in (5, 7, 13, 101):
         sq = vp_brute(RationalMap((0, 0, 1)), p, Domain.ALL)
         assert sq.v == (p + 1) // 2
+    # x^7 / (1 - x^6) at p = 7: every unit is a pole, so x = 0 is the only point
+    only_zero = RationalMap((0, 0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, -1))
+    assert vp_brute(only_zero, 7, Domain.ALL).v == 1
+    with pytest.raises(EmptyDomain):
+        vp_brute(only_zero, 7, Domain.NONZERO)
 
 
 def test_vp_brute_bitmap():
@@ -160,12 +165,13 @@ BLOCK_PRIMES = tuple(
 @pytest.mark.parametrize("p", BLOCK_PRIMES)
 def test_blocked_vp_brute_matches_python_values(p):
     # both domains end on a partial block; 1/(x - c) has its pole in the
-    # last block
+    # last block, and 1/(x^2 - x), no monomial, has one at x = 0
     maps = (
         RationalMap.x2_plus_a_over_x(5),
         RationalMap.cubic(1, 2, 3),
         RationalMap.x_plus_a_over_2x2(7),
         RationalMap((1,), (-(p - 3), 1)),
+        RationalMap((1,), (0, -1, 1)),
     )
     for f in maps:
         for domain in Domain:
@@ -269,6 +275,21 @@ def test_jacobsthal_sums_at_one_prime_build_one_power_table():
     assert _tables.inv_table.cache_info().misses == 0
 
 
+def test_every_oracle_at_one_prime_builds_one_power_table():
+    # the units are read off one cached table: no oracle builds its own
+    # range of residues, and only a denominator that is no monomial would
+    # build the inverse table
+    p = 10_007
+    _tables.unit_powers.cache_clear()
+    _tables.inv_table.cache_clear()
+    vp_brute(RationalMap.cubic(1, 2, 3), p, Domain.ALL)
+    np_cubic_roots(0, -1, 0, p)
+    jacobsthal_brute(5, p)
+    jacobsthal_all(p)
+    assert _tables.unit_powers.cache_info().misses == 1
+    assert _tables.inv_table.cache_info().misses == 0
+
+
 def test_jacobsthal_brute_memory_is_the_symbols_plus_one_block():
     p = 1_000_003
     jacobsthal_brute(1, 13)  # numpy is imported on first use and stays
@@ -303,6 +324,19 @@ def test_vp_brute_memory_with_the_inverse_table_is_the_bitmap_plus_one_block():
     p = 1_000_003
     _tables.inv_table(p)
     assert vp_brute_peak(RationalMap((1,), (-1, 0, 1)), p) < 2 * p
+
+
+def test_np_cubic_roots_streams_the_units():
+    p = 1_000_003
+    np_cubic_roots(1, 2, 3, 13)  # numpy is imported on first use and stays
+    _tables.unit_powers(p)  # the cached table is not the call's memory
+    tracemalloc.start()
+    try:
+        assert np_cubic_roots(0, -1, 0, p) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * p
 
 
 def test_oracle_arguments_must_be_integers():
@@ -366,7 +400,7 @@ def test_np_cubic_roots_matches_scalar():
     for p in (5, 7, 11, 13):
         for a1 in range(p):
             for a2 in range(p):
-                for a3 in (0, 1, p - 1):
+                for a3 in (0, 1, p - 1, -p):  # -p: x = 0 is a root
                     want = sum(
                         1
                         for x in range(p)
