@@ -38,9 +38,9 @@ from .quadform import (
     _PLUS,
     _UNIT,
     _cached_a3b,
-    _check_rep,
     _class_trace,
     _require_1mod3,
+    _require_rep,
     _unit_class,
     represent_l27m,
 )
@@ -164,7 +164,7 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
     m = _nonzero_residue(m, p)
     if p % 3 == 2:
         return _jacobsthal(m, p, None)
-    return _jacobsthal(m, _check_rep(p, rep), rep)
+    return _jacobsthal(m, _require_rep(p, rep), rep)
 
 
 def _jacobsthal(m: int, p: int, rep: QuadRep | None) -> int:

@@ -77,8 +77,9 @@ def t_map(x: int, p: int) -> int:
 def h_set(p: int) -> np.ndarray:
     """The half-range fundamental domain of t_map, ascending and read-only.
 
-    Members are {0, 2, 3, ..., (p-1)/2} minus any x with x^2 = -3 (mod p);
-    at most one such x lies in the range, and only when p = 1 (mod 3).
+    Members are {0, 2, 3, ..., (p-1)/2} minus any x with x^2 = -3 (mod p).
+    For p > 3 at most one such x lies in the range, and only when
+    p = 1 (mod 3); h_set(3) is empty, since 0^2 = -3 (mod 3).
     """
     import numpy as np
 
@@ -116,8 +117,9 @@ def t_preimage_counts(p: int) -> np.ndarray:
 def count_t_preimages(t: int, p: int) -> int:
     """How many x in the fundamental domain have t_map(x) = t (mod p).
 
-    The count is 0 or 3 for t != 27, and exactly 2 for t = 27 (mod p).
-    t = 0 is outside the map's image and rejected.
+    For p > 3 the count is 0 or 3 for t != 27, and exactly 2 for
+    t = 27 (mod p); count_t_preimages(1, 2) is 1.  t = 0 is outside the
+    map's image and rejected.
     """
     p = _tables.check_enumerable(p)
     t = _tables.check_int("t", t) % p

@@ -4,9 +4,10 @@ Residues are plain ints in [0, p); every function reduces its arguments, so
 any int is accepted.  Python integers are arbitrary precision, which makes
 the double-width intermediates exact across the whole supported range.
 ``Prime`` is the validated boundary type: the CLI constructs one before
-touching the kernels.  The closed forms take either a ``Prime`` or a plain
-int and check it with ``checked_prime``, which remembers the plain ints it
-has validated, so a loop over one modulus runs the primality test once.
+touching the kernels.  The closed forms take a ``Prime`` or any integer
+``check_int`` accepts and check it with ``checked_prime``, which remembers
+every modulus it has validated, whatever its type, so a loop over one
+modulus runs the primality test once.
 """
 
 from __future__ import annotations
@@ -56,18 +57,16 @@ class Prime(int):
 def checked_prime(p, _prime: type = Prime) -> int:
     """p as a validated prime modulus, or the error Prime(p) raises.
 
-    A Prime is returned at once.  A plain int is validated by Prime and
-    returned as an int; the last few hundred are remembered, so a loop over
-    one modulus runs is_prime once, not once per call.  Other accepted
-    types (Fraction, Decimal) are validated on every call.  _prime is bound
+    A Prime is returned at once.  Any other p, as the int check_int
+    returns, is validated by Prime in one memo of the last few hundred
+    moduli, so a loop over one modulus runs is_prime once, whatever its
+    integer type (int, numpy integer, Fraction, Decimal).  _prime is bound
     when the module loads, so a wrapper later put over the module name
     Prime (perfbench's tracer does this) leaves the fast path working.
     """
     if type(p) is _prime:
         return p
-    if type(p) is int:
-        return _checked_int(p)
-    return int(Prime(p))
+    return _checked_int(p if type(p) is int else check_int("modulus", p))
 
 
 @lru_cache(maxsize=256)

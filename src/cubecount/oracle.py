@@ -265,21 +265,21 @@ def family_counts(p: int) -> np.ndarray:
     order of a primitive root g: pw[k] = g^k (_tables.unit_powers).  For
     x = g^(-i) and a = g^j, a/x = pw[(i + j) mod (p - 1)], so row j reads
     a window of the doubled pw, a view with nothing computed, and x^2 =
-    pw[-2i mod (p - 1)] is one gather per prime.  A row is then one add of
-    two residues below p, scattered into a 2p-wide bitmap whose halves are
-    OR-ed and counted into V[pw[j]]; row a = 0 is the bitmap of the squares
-    alone.  Every (a, x) cell is still written: the same enumeration in
-    another order, with no multiply or % per cell.  O(p^2) time; memory is
-    O(p) plus FAMILY_BLOCK_BYTES (one row per block at least).  The
-    read-only result is cached per prime.
+    pw[p - 1 - 2i], the even powers read backwards, twice over.  A row is
+    then one add of two residues below p, scattered into a 2p-wide bitmap
+    whose halves are OR-ed and counted into V[pw[j]]; row a = 0 is the
+    bitmap of the squares alone.  Every (a, x) cell is still written: the
+    same enumeration in another order, with no multiply or % per cell.
+    O(p^2) time; memory is O(p) plus FAMILY_BLOCK_BYTES (one row per block
+    at least).  The read-only result is cached per prime.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     n_units = p - 1
-    pw = _tables.unit_powers(p)[:n_units]  # every unit once
-    k = _tables.reduce_mod(np.arange(0, -2 * n_units, -2, dtype=np.int64), n_units)
-    sq = pw[k]
+    pw = _tables.unit_powers(p)
+    sq = np.resize(pw[n_units:0:-2], n_units)  # x^2 for x = g^(-i), i < p - 1
+    pw = pw[:n_units]  # every unit once
     counts = np.empty(p, dtype=np.int64)
     squares = np.zeros(p, dtype=bool)
     squares[sq] = True

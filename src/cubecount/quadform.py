@@ -43,13 +43,9 @@ def _require_1mod3(p) -> int:
 
 
 def _require_rep(p, rep: QuadRep) -> int:
-    """p as _require_1mod3 returns it, once _check_rep has accepted rep for it."""
-    return _check_rep(_require_1mod3(p), rep)
-
-
-def _check_rep(p: int, rep: QuadRep) -> int:
-    """p, a prime already checked, once rep is the QuadRep of p itself:
+    """p as _require_1mod3 returns it, once rep is the QuadRep of p itself:
     MissingRep for None, for anything that is no QuadRep, for another p's rep."""
+    p = _require_1mod3(p)
     if not (isinstance(rep, QuadRep) and rep.p == p):
         raise MissingRep(f"a QuadRep of p = {p} is required, got {rep!r}")
     return p

@@ -5,9 +5,12 @@ import random
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubecount import _tables, modarith
+from cubecount.closedform import jacobsthal_closed, von_sterneck_value, vp_2a, vp_closed, vp_half_x2
+from cubecount.cubicres import cubic_class, is_cubic_residue
 from cubecount.errors import CompositeModulus, ZeroInverse
 from cubecount.modarith import (
     MAX_PRIME,
@@ -19,6 +22,7 @@ from cubecount.modarith import (
     legendre,
     rational_mod,
 )
+from cubecount.quadform import represent_a3b, represent_l27m
 from helpers import miller_rabin_64, primes_upto, sieve_upto, squares_mod, time_limit, trial_factor
 
 
@@ -200,8 +204,10 @@ def test_checked_prime_validates_each_modulus_once(monkeypatch):
     monkeypatch.setattr(modarith, "is_prime", lambda n: calls.append(n) or real(n))
     modarith._checked_int.cache_clear()
     for _ in range(100):
-        q = checked_prime(10009)
-        assert q == 10009 and type(q) is int
+        # every accepted integer type shares the one memo entry of 10009
+        for n in (10009, np.int64(10009), Fraction(10009), Decimal(10009)):
+            q = checked_prime(n)
+            assert q == 10009 and type(q) is int
     assert calls == [10009]
     for bad in (35, 1729):
         with pytest.raises(CompositeModulus, match="is not prime"):
@@ -209,3 +215,33 @@ def test_checked_prime_validates_each_modulus_once(monkeypatch):
     for bad in (10009.0, True, 3, 2**89 - 1):
         with pytest.raises(ValueError):
             checked_prime(bad)
+
+
+P_1MOD3 = 10009
+REP_1MOD3 = represent_a3b(P_1MOD3)
+
+#: each public function that checks its modulus by checked_prime, as a call at p
+CHECKS_P = {
+    "vp_closed": lambda p: vp_closed(5, p),
+    "vp_2a": lambda p: vp_2a(5, p),
+    "vp_half_x2": lambda p: vp_half_x2(5, p),
+    "jacobsthal_closed": lambda p: jacobsthal_closed(5, p, REP_1MOD3),
+    "von_sterneck_value": von_sterneck_value,
+    "cubic_class": lambda p: cubic_class(5, p, REP_1MOD3),
+    "is_cubic_residue": lambda p: is_cubic_residue(5, p),
+    "legendre": lambda p: legendre(5, p),
+    "represent_l27m": represent_l27m,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS_P))
+def test_a_numpy_integer_modulus_is_validated_once(name, monkeypatch):
+    call = CHECKS_P[name]
+    want = call(P_1MOD3)
+    calls = []
+    real = modarith.is_prime
+    monkeypatch.setattr(modarith, "is_prime", lambda n: calls.append(n) or real(n))
+    modarith._checked_int.cache_clear()
+    for _ in range(50):
+        assert call(np.int64(P_1MOD3)) == want
+    assert calls == [P_1MOD3]

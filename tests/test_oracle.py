@@ -227,10 +227,10 @@ def test_eval_laurent_equals_python(p):
 @pytest.mark.parametrize("p", [5, 1_000_003, P_MAX_ENUM])
 @pytest.mark.parametrize("below", [0, 1])
 def test_reduce_mod_equals_python_mod(p, below):
-    # moduli p (_eval_poly, vp_brute) and p - 1 (family_counts' logarithms);
-    # dividends up to the largest _eval_poly reduces and the int64 extremes,
-    # down to family_counts' -2(p - 1), plus a seeded random block that
-    # makes the array end partway through its second block of reduction
+    # moduli p (_eval_poly, vp_brute) and an even one, p - 1; dividends up
+    # to the largest _eval_poly reduces and the int64 extremes, down to
+    # -2(p - 1), plus a seeded random block that makes the array end
+    # partway through its second block of reduction
     n = p - below
     edges = [0, 1, p - 1, p, p + 1, (p - 1) ** 2 + (p - 1), 2**63 - 1]
     edges += [-1, -(p - 1), -p, -2 * (p - 1), -(2**63)]
@@ -337,6 +337,22 @@ def test_np_cubic_roots_streams_the_units():
     finally:
         tracemalloc.stop()
     assert peak < 2 * p
+
+
+def test_family_counts_reads_the_squares_off_the_power_table():
+    # x^2 is a copy of the power table's even entries, with no exponent
+    # array: about 53 bytes per residue
+    p = 30_011
+    family_counts(13)  # numpy is imported on first use and stays
+    _tables.unit_powers(p)  # the cached table is not the build's memory
+    family_counts.cache_clear()
+    tracemalloc.start()
+    try:
+        family_counts(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 57 * p
 
 
 def test_oracle_arguments_must_be_integers():
