@@ -6,14 +6,13 @@ every enumerating entry point checks both with check_enumerable before it
 allocates anything.  per_prime is the one cache policy for the O(p)
 tables: p checked, the last prime's table dropped, the new one built,
 marked read-only, and kept for the one prime last asked for.  It holds
-four.  unit_powers here, the powers of the least primitive root, is the
-one enumeration of the units: inv_table and family_counts read it when
+three.  unit_powers here, the powers of the least primitive root, is the
+one enumeration of the units: inverses and family_counts read it when
 they build, vp_brute and np_cubic_roots walk the units by it, and the
 Jacobsthal oracles read the squares and cubes of the units off it as
-strided views.  inv_table here is read by vp_brute for a denominator that
-is no monomial and by cubicres.t_preimage_counts.
-oracle.family_counts serves four sweep checks, and
-cubicres.t_preimage_counts one lookup per t.  reduce_mod is
+strided views.  oracle.family_counts serves four sweep checks, and
+cubicres.t_preimage_counts one lookup per t.  No caller reads inverses
+twice at one prime, so it is built per call and not kept.  reduce_mod is
 the one way an array is reduced mod p anywhere in the package: numpy's
 int64 % costs about four times its floor division.  is_prime, the
 package's one primality test (Baillie-PSW below 2**64: one strong
@@ -292,16 +291,15 @@ def unit_powers(p: int) -> np.ndarray:
     return pw
 
 
-@per_prime
-def inv_table(p: int) -> np.ndarray:
-    """inv_table(p)[x] = x^(-1) mod p for x in [1, p); slot 0 holds 0.
+def inverses(p: int) -> np.ndarray:
+    """inverses(p)[x] = x^(-1) mod p for x in [1, p); slot 0 holds 0.
 
-    O(p): since g^(-k) = g^(p-1-k), the inverses are one scatter of the
-    cached unit_powers, inv[pw[k]] = pw[p-1-k].
+    O(p), not cached: since g^(-k) = g^(p-1-k), the inverses are one scatter
+    of the cached unit_powers (which checks p first), inv[pw[k]] = pw[p-1-k].
     """
     import numpy as np
 
     pw = unit_powers(p)
-    inv = np.zeros(p, dtype=np.int64)
+    inv = np.zeros_like(pw)
     inv[pw] = pw[::-1]
     return inv

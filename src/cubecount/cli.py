@@ -38,9 +38,12 @@ def _parse_a(text: str, p: int) -> int:
     """Parse the family parameter: an integer or a rational 'u/v'."""
     u, slash, v = text.partition("/")
     try:
-        a = rational_mod(int(u), int(v) if slash else 1, p)
+        u, v = int(u), int(v) if slash else 1
     except ValueError:
         raise ValueError(f"--a {text!r}: expected an integer or u/v") from None
+    if v % p == 0:
+        raise ValueError(f"--a {text!r}: the denominator is 0 mod {p}")
+    a = rational_mod(u, v, p)
     if a == 0:
         raise ValueError(f"a = {text} reduces to 0 mod {p}")
     return a

@@ -99,7 +99,8 @@ def t_preimage_counts(p: int) -> np.ndarray:
     """n[t] = how many x in the fundamental domain have t_map(x) = t.
 
     One vector for every t in [0, p) at once: t_map over h_set(p), then a
-    histogram.  O(p) time and memory; the read-only result is cached per
+    histogram, with the inverses of _tables.inverses built once and
+    dropped.  O(p) time and memory; the read-only result is cached per
     prime.
     """
     import numpy as np
@@ -110,7 +111,7 @@ def t_preimage_counts(p: int) -> np.ndarray:
     u = red(s + 3, p)
     num = red(red(u * u, p) * u, p)
     d = s - 1  # in [-1, p - 2]: its square is exact unreduced
-    tv = red(num * _tables.inv_table(p)[red(d * d, p)], p)
+    tv = red(num * _tables.inverses(p)[red(d * d, p)], p)
     return np.bincount(tv, minlength=p)
 
 

@@ -15,8 +15,8 @@ takes it, is one scalar point.  Two batched kernels answer a whole family
 at one prime: family_counts, cached per prime, enumerates x^2 + a/x for
 every a at once, a/x a window of the doubled table, so each cell costs one
 add and one scatter; jacobsthal_all correlates the histogram of the cube
-views with the Legendre symbols.  vp_brute reads _tables.inv_table only
-for a denominator that is no monomial.
+views with the Legendre symbols.  vp_brute builds _tables.inverses, once
+per call and not kept, only for a denominator that is no monomial.
 
 The per-parameter oracles stream: vp_brute, np_cubic_roots and
 jacobsthal_brute read BRUTE_BLOCK units at a time, so on top of the cached
@@ -24,11 +24,11 @@ table each holds at most one or two p-byte arrays (the bitmap of attained
 values, or the int8 Legendre symbols and their rotation by m) plus a few
 blocks.  Polynomials go through _horner, which reduces mod p only where a
 value can have reached p, with _tables.reduce_mod: a floor division at
-under half the cost of numpy's int64 %, and still the dearest step.  Over
-a monomial denominator c x^j, _eval_laurent evaluates f as a polynomial in
-x plus one in 1/x and reduces their sum once.  jacobsthal_brute computes
-nothing per point: it gathers the rotated symbols at the cube views and
-sums.
+under half the cost of numpy's int64 %, and still the dearest step.  The
+one evaluator, _eval_laurent, takes f as a polynomial in x plus one in
+1/x (none for a polynomial) and reduces their sum once.  jacobsthal_brute
+computes nothing per point: it gathers the rotated symbols at the cube
+views and sums.
 """
 
 from __future__ import annotations
@@ -115,9 +115,10 @@ class CountResult:
 #: four for any other (numerator, denominator, the values and the gather's
 #: temporary).  tracemalloc peaks at p = 1,000,003 with the table warm, in
 #: bytes per residue, vp_brute's p-byte bitmap included: 1.26 for a cubic
-#: over Z_p, 1.40 for x^2 + 5/x, 1.54 for 1/(x^2 - 1); 0.26 for
-#: np_cubic_roots.  jacobsthal_brute holds one int8 array of this length
-#: (the gathered symbols) next to its 2p bytes of symbols and rotation.
+#: over Z_p, 1.40 for x^2 + 5/x, 9.54 for 1/(x^2 - 1), 8 of them the
+#: inverses it builds and drops; 0.26 for np_cubic_roots.  jacobsthal_brute
+#: holds one int8 array of this length (the gathered symbols) next to its 2p
+#: bytes of symbols and rotation.
 BRUTE_BLOCK = 1 << 14
 
 
@@ -153,32 +154,26 @@ def _horner(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> tuple[np.ndarray
     return acc, bound
 
 
-def _eval_poly(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> np.ndarray:
-    """f(x) mod p for every x in xs (int64, each in [0, p)): _horner, then
-    one reduction if the value can have reached p.  The result may be xs
-    itself, so callers do not write into it."""
-    acc, bound = _horner(coeffs, xs, p)
-    if bound >= p:
-        _tables.reduce_mod(acc, p)
-    return acc
-
-
 def _eval_laurent(
-    high: tuple[int, ...], low: tuple[int, ...], xs: np.ndarray, inv: np.ndarray, p: int
+    high: tuple[int, ...], xs: np.ndarray, p: int, low: tuple[int, ...] = (), inv=None
 ) -> np.ndarray:
-    """high(x) + low(x^(-1)) mod p for every unit x in xs, inv holding their
-    inverses: each part by _horner, then the sum reduced once, so that
-    x^2 + a/x costs one reduction per point.  xs may be a read-only view."""
+    """high(x) + low(x^(-1)) mod p for every x in xs (int64, in [0, p)),
+    inv their inverses: each part by _horner, the sum reduced once, so that
+    x^2 + a/x costs one reduction per point.  An empty low reads no inv, so
+    x = 0 may be in xs, and the result may be xs itself, which callers do
+    not write into.  xs may be a read-only view."""
     import numpy as np
 
     vals, bound = _horner(high, xs, p)
-    tail, tail_bound = _horner(low, inv, p)
-    if bound + tail_bound >= 1 << 63:
-        # only for p above 2.1e9; then bound >= p, so vals is not xs
-        _tables.reduce_mod(vals, p)
-        bound = p - 1
-    vals = vals + tail if vals is xs else np.add(vals, tail, out=vals)
-    if bound + tail_bound >= p:
+    if low:
+        tail, tail_bound = _horner(low, inv, p)
+        if bound + tail_bound >= 1 << 63:
+            # only for p above 2.1e9; then bound >= p, so vals is not xs
+            _tables.reduce_mod(vals, p)
+            bound = p - 1
+        vals = vals + tail if vals is xs else np.add(vals, tail, out=vals)
+        bound += tail_bound
+    if bound >= p:
         _tables.reduce_mod(vals, p)
     return vals
 
@@ -191,12 +186,12 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     den[0] unless den[0] = 0 (mod p).  The units are walked a block of
     BRUTE_BLOCK at a time as x = pw[k] of the cached _tables.unit_powers,
     with x^(-1) = pw[p-1-k] the same table read backwards.  A monomial
-    denominator c x^j (every other coefficient 0 mod p) has c^(-1) folded
-    into the numerator: a polynomial (j = 0) goes through _eval_poly, and
-    for j >= 1 f(x) = high(x) + low(x^(-1)) through _eval_laurent.  Any
-    other denominator is inverted through the cached _tables.inv_table.
-    O(p) time; p bytes plus a few blocks on top of the cached tables, and a
-    cold prime builds and keeps the 8p-byte power table.  The modulus is
+    denominator c x^j, j >= 0 (every other coefficient 0 mod p), has c^(-1)
+    folded into the numerator: f(x) = high(x) + low(x^(-1)) through
+    _eval_laurent.  Any other denominator is inverted through the 8p bytes
+    of _tables.inverses, built per call.  O(p) time; p bytes plus a few
+    blocks on top of the cached tables, and a cold prime builds and keeps
+    the 8p-byte power table.  The modulus is
     capped where int64 products stop being exact (~3.0e9); enumeration is
     impractical long before that.
     """
@@ -216,30 +211,29 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
         seen[num[0] * pow(den[0], -1, p) % p] = True
     j = terms[0] if len(terms) == 1 else None
     if j is None:
-        inv_table = _tables.inv_table(p)
+        inverses = _tables.inverses(p)
     else:
         # poly(x) / x^j = high(x) + low(1/x): high holds poly's terms of
         # degree j and up, low the rest, a polynomial in 1/x of degree j
         c_inv = pow(den[j], -1, p)
         poly = tuple(c * c_inv for c in num) + (0,) * (j + 1 - len(num))
-        high, low = poly[j:], (0,) + poly[:j][::-1]
+        high, low = poly[j:], poly[:j][::-1]
+        low = (0,) + low if any(c % p for c in low) else ()  # () if no 1/x part
     pw = _tables.unit_powers(p)
     units, rev = pw[: p - 1], pw[:0:-1]  # rev[k] = g^(p-1-k) = 1 / units[k]
     for lo in range(0, p - 1, BRUTE_BLOCK):
-        xs, inv = units[lo : lo + BRUTE_BLOCK], rev[lo : lo + BRUTE_BLOCK]
+        xs = units[lo : lo + BRUTE_BLOCK]
         if j is None:
-            n, d = _eval_poly(num, xs, p), _eval_poly(den, xs, p)
+            n, d = _eval_laurent(num, xs, p), _eval_laurent(den, xs, p)
             ok = d != 0
             if not ok.all():
                 n, d = n[ok], d[ok]
-            vals = inv_table[d]
+            vals = inverses[d]
             vals *= n
             del n, d, ok  # before the reduction's quotient
             _tables.reduce_mod(vals, p)
-        elif j:
-            vals = _eval_laurent(high, low, xs, inv, p)
         else:
-            vals = _eval_poly(high, xs, p)
+            vals = _eval_laurent(high, xs, p, low, rev[lo : lo + BRUTE_BLOCK])
         seen[vals] = True
         del vals  # before the next block's arrays
     # every point off the denominator's zeros marks one value
@@ -333,7 +327,7 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     units, cubic = _tables.unit_powers(p)[: p - 1], (a3, a2, a1, 1)
     roots = int(a3 % p == 0)
     for lo in range(0, p - 1, BRUTE_BLOCK):
-        roots += int(np.count_nonzero(_eval_poly(cubic, units[lo : lo + BRUTE_BLOCK], p) == 0))
+        roots += int(np.count_nonzero(_eval_laurent(cubic, units[lo : lo + BRUTE_BLOCK], p) == 0))
     return roots
 
 

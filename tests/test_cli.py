@@ -107,6 +107,14 @@ def test_parse_errors_name_the_flag(capsys, argv):
     assert err == f"error: {flag} {text!r}: expected {forms}\n"
 
 
+@pytest.mark.parametrize("command", ["eval", "classify"])
+@pytest.mark.parametrize("a", ["1/13", "5/-26", "2/0"])
+def test_a_with_a_zero_denominator_names_the_flag(capsys, command, a):
+    code, out, err = run_cli(capsys, command, "--p", "13", "--a", a)
+    assert code == 2 and out == ""
+    assert err == f"error: --a {a!r}: the denominator is 0 mod 13\n"
+
+
 def test_eval_mismatch_exits_1(capsys, monkeypatch):
     # force a disagreement to exercise the mismatch path
     monkeypatch.setattr(

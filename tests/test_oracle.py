@@ -107,17 +107,15 @@ def test_vp_brute_denominator_vanishing_everywhere_is_empty(domain):
 
 def test_inv_table_inverts_every_unit():
     for p in primes_upto(2000):
-        inv = _tables.inv_table(p)
+        inv = _tables.inverses(p)
         assert inv[0] == 0
         assert inv[1:].tolist() == [pow(x, -1, p) for x in range(1, p)], p
 
 
 def test_inv_table_at_a_large_prime():
     p = 1_000_003
-    inv = _tables.inv_table(p)
-    assert inv.shape == (p,) and not inv.flags.writeable
-    assert _tables.inv_table(p) is inv
-    assert _tables.inv_table.cache_parameters()["maxsize"] == 1
+    inv = _tables.inverses(p)
+    assert inv.shape == (p,) and inv.dtype == np.int64
     rng = random.Random(9)
     for x in [1, 2, p - 2, p - 1] + [rng.randrange(1, p) for _ in range(5_000)]:
         assert inv[x] == pow(x, -1, p)
@@ -199,7 +197,7 @@ def test_eval_poly_equals_python_horner(p):
     cases = [(c,) * n for c in (0, 1, p - 1) for n in range(1, 7)]
     cases += [tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))) for _ in range(300)]
     for coeffs in cases:
-        got = oracle._eval_poly(coeffs, xs, p)
+        got = oracle._eval_laurent(coeffs, xs, p)
         assert got.dtype == np.int64
         assert got.tolist() == [horner(coeffs, int(x), p) for x in xs], coeffs
         assert xs.tolist() == [0, 1, p - 2, p - 1]  # read, never written
@@ -219,7 +217,7 @@ def test_eval_laurent_equals_python(p):
         high = tuple(rng.choice(pool) for _ in range(rng.randint(1, 4)))
         cases.append((high, (0,) + tuple(rng.choice(pool) for _ in range(rng.randint(1, 3)))))
     for high, low in cases:
-        got = oracle._eval_laurent(high, low, xs, inv, p)
+        got = oracle._eval_laurent(high, xs, p, low, inv)
         want = [(horner(high, int(x), p) + horner(low, int(y), p)) % p for x, y in zip(xs, inv)]
         assert got.tolist() == want, (high, low)
 
@@ -227,8 +225,8 @@ def test_eval_laurent_equals_python(p):
 @pytest.mark.parametrize("p", [5, 1_000_003, P_MAX_ENUM])
 @pytest.mark.parametrize("below", [0, 1])
 def test_reduce_mod_equals_python_mod(p, below):
-    # moduli p (_eval_poly, vp_brute) and an even one, p - 1; dividends up
-    # to the largest _eval_poly reduces and the int64 extremes, down to
+    # moduli p (_eval_laurent, vp_brute) and an even one, p - 1; dividends
+    # up to the largest _eval_laurent reduces and the int64 extremes, down to
     # -2(p - 1), plus a seeded random block that makes the array end
     # partway through its second block of reduction
     n = p - below
@@ -265,29 +263,41 @@ def test_cube_views_are_the_cubes_of_every_unit():
         assert got == sorted(pow(y, 3, p) for y in range(1, p)), p
 
 
-def test_jacobsthal_sums_at_one_prime_build_one_power_table():
+@pytest.fixture
+def inverse_builds(monkeypatch) -> list:
+    """The moduli of every inverse table built during the test: a counter
+    wrapped around the uncached _tables.inverses."""
+    built, build = [], _tables.inverses
+
+    def counted(p):
+        built.append(p)
+        return build(p)
+
+    monkeypatch.setattr(_tables, "inverses", counted)
+    return built
+
+
+def test_jacobsthal_sums_at_one_prime_build_one_power_table(inverse_builds):
     p = 1_000_003
     _tables.unit_powers.cache_clear()
-    _tables.inv_table.cache_clear()
     for m in (1, 2, 3, 5, 7):
         jacobsthal_brute(m, p)
     assert _tables.unit_powers.cache_info().misses == 1
-    assert _tables.inv_table.cache_info().misses == 0
+    assert inverse_builds == []
 
 
-def test_every_oracle_at_one_prime_builds_one_power_table():
+def test_every_oracle_at_one_prime_builds_one_power_table(inverse_builds):
     # the units are read off one cached table: no oracle builds its own
     # range of residues, and only a denominator that is no monomial would
     # build the inverse table
     p = 10_007
     _tables.unit_powers.cache_clear()
-    _tables.inv_table.cache_clear()
     vp_brute(RationalMap.cubic(1, 2, 3), p, Domain.ALL)
     np_cubic_roots(0, -1, 0, p)
     jacobsthal_brute(5, p)
     jacobsthal_all(p)
     assert _tables.unit_powers.cache_info().misses == 1
-    assert _tables.inv_table.cache_info().misses == 0
+    assert inverse_builds == []
 
 
 def test_jacobsthal_brute_memory_is_the_symbols_plus_one_block():
@@ -303,27 +313,30 @@ def test_jacobsthal_brute_memory_is_the_symbols_plus_one_block():
     assert peak < 4 * p
 
 
-def vp_brute_peak(f: RationalMap, p: int) -> int:
-    """The tracemalloc peak of one count of f over the units mod p."""
+def vp_brute_memory(f: RationalMap, p: int) -> tuple[int, int]:
+    """(kept, peak): the tracemalloc bytes still allocated after one count
+    of f over the units mod p, and the count's peak."""
+    _tables.unit_powers(p)  # the cached table is not the count's memory
     tracemalloc.start()
     try:
         vp_brute(f, p, Domain.NONZERO)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
 
 def test_vp_brute_memory_is_the_bitmap_plus_one_block():
     p = 1_000_003
-    _tables.unit_powers(p)  # the cached table is not the count's memory
-    assert vp_brute_peak(RationalMap.x2_plus_a_over_x(5), p) < 2 * p
+    assert vp_brute_memory(RationalMap.x2_plus_a_over_x(5), p)[1] < 2 * p
 
 
 def test_vp_brute_memory_with_the_inverse_table_is_the_bitmap_plus_one_block():
-    # 1/(x^2 - 1) is no monomial: its count gathers from the inverse table
+    # 1/(x^2 - 1) is no monomial: its count builds the 8p-byte inverse
+    # table next to the bitmap and one block, and keeps none of them
     p = 1_000_003
-    _tables.inv_table(p)
-    assert vp_brute_peak(RationalMap((1,), (-1, 0, 1)), p) < 2 * p
+    kept, peak = vp_brute_memory(RationalMap((1,), (-1, 0, 1)), p)
+    assert peak < 10 * p
+    assert kept < p
 
 
 def test_np_cubic_roots_streams_the_units():
@@ -557,10 +570,9 @@ def test_family_counts_one_row_per_block(monkeypatch):
     assert family_counts.__wrapped__(p).tolist() == family_by_sets(p)
 
 
-def test_a_polynomial_count_builds_no_inverse_table():
+def test_a_polynomial_count_builds_no_inverse_table(inverse_builds):
     # a constant denominator is folded into the coefficients; a zero one
     # still leaves no point to count
-    _tables.inv_table.cache_clear()
     for p in primes_upto(101):
         for a1, a2, a3 in ((0, 0, 0), (1, 2, 3), (-5, 7, 11), (p - 1, 3, -2)):
             cubic = [(x**3 + a1 * x * x + a2 * x + a3) % p for x in range(p)]
@@ -577,17 +589,16 @@ def test_a_polynomial_count_builds_no_inverse_table():
                     halves = {c * pow(2, -1, p) % p for c in cubic[lo:]}
                     count = vp_brute(half, p, domain, want_bitmap=True)
                     assert set(np.flatnonzero(count.attained)) == halves
-    assert _tables.inv_table.cache_info().misses == 0
+    assert inverse_builds == []
 
 
-def test_monomial_denominator_counts_equal_python_values(monkeypatch):
+def test_monomial_denominator_counts_equal_python_values(monkeypatch, inverse_builds):
     # a denominator c x^j walks the units by the power table and reads the
     # inverses off it backwards: blocks of 3 units cross block edges at
     # every p > 3, after k = 0 (x = 1, whose inverse is the table's last
     # entry); extra coefficients 0 mod p leave a monomial.  None of these
     # counts builds the inverse table.
     monkeypatch.setattr(oracle, "BRUTE_BLOCK", 3)
-    _tables.inv_table.cache_clear()
     for p in primes_upto(101):
         dens = [(0, 1), (0, 0, 2), (0, 0, 0, -3), (0, 1, p), (0, p, 3), (p, 0, 0, p + 5, -2 * p)]
         nums = [(0, 1), (1,), (p,), (3, -1, 2), (0, 0, 0, 0, 1)]
@@ -608,7 +619,7 @@ def test_monomial_denominator_counts_equal_python_values(monkeypatch):
             for domain in Domain:
                 with pytest.raises(EmptyDomain):
                     vp_brute(RationalMap((1, 0, 0, 1), den), p, domain)
-    assert _tables.inv_table.cache_info().misses == 0
+    assert inverse_builds == []
 
 
 def test_jacobsthal_all_refuses_an_inexact_transform(monkeypatch):
@@ -635,7 +646,7 @@ def test_jacobsthal_oracles_keep_nothing_allocated():
 
 
 #: The tables that callers read again, and so the only ones per_prime caches.
-PER_PRIME_TABLES = (_tables.unit_powers, _tables.inv_table, family_counts, t_preimage_counts)
+PER_PRIME_TABLES = (_tables.unit_powers, family_counts, t_preimage_counts)
 
 
 def test_per_prime_decorates_exactly_the_tables_read_again():
@@ -649,7 +660,7 @@ def test_per_prime_decorates_exactly_the_tables_read_again():
                 if "per_prime" in tags:
                     decorated.add(node.name)
     assert decorated == {t.__name__ for t in PER_PRIME_TABLES}
-    assert not hasattr(_tables, "qr_table") and not hasattr(_tables, "cubes_nonzero")
+    assert not any(hasattr(_tables, t) for t in ("qr_table", "cubes_nonzero", "inv_table"))
 
 
 @pytest.mark.parametrize("table", PER_PRIME_TABLES, ids=lambda t: t.__name__)
@@ -659,6 +670,22 @@ def test_per_prime_tables_are_cached_and_read_only(table):
     with pytest.raises(ValueError):
         first[1] = 0
     assert table.cache_parameters()["maxsize"] == 1
+
+
+def test_every_per_prime_table_is_read_again():
+    # a table built once per prime and never read again only keeps its
+    # memory alive
+    for table in PER_PRIME_TABLES:
+        table.cache_clear()
+    run_sweep(300, jobs=1)
+    assert _tables.unit_powers.cache_info().hits > 0
+    assert family_counts.cache_info().hits > 0
+    # one prime's preimage counts answer every t
+    p = 1009
+    t_preimage_counts.cache_clear()
+    for t in range(1, p):
+        count_t_preimages(t, p)
+    assert t_preimage_counts.cache_info() == (p - 2, 1, 1, 1)
 
 
 def test_every_sweep_check_finishes_a_prime_before_the_next():
@@ -707,16 +734,16 @@ def test_per_prime_drops_the_old_table_before_it_builds_the_new():
 
 
 def test_per_prime_shares_one_slot_across_integer_types():
-    _tables.inv_table.cache_clear()
-    first = _tables.inv_table(13)
-    assert _tables.inv_table(np.int64(13)) is first
-    assert _tables.inv_table(13) is first
-    info = _tables.inv_table.cache_info()
+    _tables.unit_powers.cache_clear()
+    first = _tables.unit_powers(13)
+    assert _tables.unit_powers(np.int64(13)) is first
+    assert _tables.unit_powers(13) is first
+    info = _tables.unit_powers.cache_info()
     assert (info.hits, info.misses, info.maxsize, info.currsize) == (2, 1, 1, 1)
     with pytest.raises(ValueError, match="must be an integer"):
-        _tables.inv_table(13.0)
-    _tables.inv_table.cache_clear()
-    assert _tables.inv_table.cache_info() == (0, 0, 1, 0)
+        _tables.unit_powers(13.0)
+    _tables.unit_powers.cache_clear()
+    assert _tables.unit_powers.cache_info() == (0, 0, 1, 0)
 
 
 def enumerating_calls(p: int) -> dict:
@@ -732,7 +759,7 @@ def enumerating_calls(p: int) -> dict:
         "t_preimage_counts": lambda: t_preimage_counts(p),
         "count_t_preimages": lambda: count_t_preimages(1, p),
         "in_c0": lambda: in_c0(1, p),
-        "inv_table": lambda: _tables.inv_table(p),
+        "inverses": lambda: _tables.inverses(p),
     }
 
 
@@ -828,11 +855,10 @@ def test_check_enumerable_accepts_exactly_the_primes():
 
 
 @pytest.mark.parametrize("f", [(1, 0, 0, 1), None])
-def test_vp_brute_refuses_an_f_that_is_no_rational_map(f):
+def test_vp_brute_refuses_an_f_that_is_no_rational_map(f, inverse_builds):
     # a tuple used to build the inverse table and then fail with AttributeError
     _tables.unit_powers.cache_clear()
-    _tables.inv_table.cache_clear()
     with pytest.raises(ValueError, match="f must be a RationalMap"):
         vp_brute(f, 7, Domain.ALL)
     assert _tables.unit_powers.cache_info().misses == 0
-    assert _tables.inv_table.cache_info().misses == 0
+    assert inverse_builds == []
