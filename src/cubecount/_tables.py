@@ -10,7 +10,15 @@ three.  unit_powers here, the powers of the least primitive root, is the
 one enumeration of the units: inverses and family_counts read it when
 they build, vp_brute and np_cubic_roots walk the units by it, and the
 Jacobsthal oracles read the squares and cubes of the units off it as
-strided views.  oracle.family_counts serves four sweep checks, and
+strided views.  It is stored as uint32, 4 bytes per residue, since every
+residue below MAX_ENUM_PRIME fits, and its readers widen a block before
+arithmetic: a block of it becomes int64 (.astype(np.int64), or a ufunc's
+dtype=np.int64) before any product or sum, because numpy does not widen
+uint32 * int on its own (neither numpy 2's NEP 50 rules nor numpy 1's
+value-based ones) and the product would wrap silently.  A strided view
+of it that indexes a gather or scatter is cast to np.intp a block at a
+time: numpy's own cast of a strided uint32 index was slower.
+oracle.family_counts serves four sweep checks, and
 cubicres.t_preimage_counts one lookup per t.  No caller reads inverses
 twice at one prime, so it is built per call and not kept.  reduce_mod is
 the one way an array is reduced mod p anywhere in the package: numpy's
@@ -274,19 +282,25 @@ def unit_powers(p: int) -> np.ndarray:
     table read backwards, pw[::-1], lists the inverses of pw, k = 0 too.
     Every oracle that enumerates the units reads them off this table.
 
-    O(p), filled by doubling, pw[n:2n] = pw[:n] * g^n mod p.
+    uint32, 4 bytes per residue.  O(p), filled by doubling, pw[n:2n] =
+    pw[:n] * g^n mod p, each product taken in one int64 block of
+    _REDUCE_BLOCK at a time and stored reduced, so the build holds the
+    table plus two blocks, never a widened half-table.
     """
     import numpy as np
 
     g = primitive_root(p)
-    pw = np.empty(p, dtype=np.int64)
+    pw = np.empty(p, dtype=np.uint32)
     pw[0] = 1
+    wide = np.empty(min(p, _REDUCE_BLOCK), dtype=np.int64)
     n = 1
     while n < p:
-        m = min(n, p - n)
-        block = pw[n : n + m]
-        np.multiply(pw[:m], pow(g, n, p), out=block)
-        reduce_mod(block, p)
+        m, gn = min(n, p - n), pow(g, n, p)
+        for lo in range(0, m, _REDUCE_BLOCK):
+            hi = min(lo + _REDUCE_BLOCK, m)
+            block = wide[: hi - lo]
+            np.multiply(pw[lo:hi], gn, out=block, dtype=np.int64)
+            pw[n + lo : n + hi] = reduce_mod(block, p)
         n += m
     return pw
 
@@ -300,6 +314,6 @@ def inverses(p: int) -> np.ndarray:
     import numpy as np
 
     pw = unit_powers(p)
-    inv = np.zeros_like(pw)
+    inv = np.zeros(p, dtype=np.int64)
     inv[pw] = pw[::-1]
     return inv

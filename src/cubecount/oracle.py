@@ -19,7 +19,8 @@ views with the Legendre symbols.  vp_brute builds _tables.inverses, once
 per call and not kept, only for a denominator that is no monomial.
 
 The per-parameter oracles stream: vp_brute, np_cubic_roots and
-jacobsthal_brute read BRUTE_BLOCK units at a time, so on top of the cached
+jacobsthal_brute read BRUTE_BLOCK units at a time, each block widened to
+int64 or cast to an index as _tables says, so on top of the cached
 table each holds at most one or two p-byte arrays (the bitmap of attained
 values, or the int8 Legendre symbols and their rotation by m) plus a few
 blocks.  Polynomials go through _horner, which reduces mod p only where a
@@ -108,17 +109,18 @@ class CountResult:
 
 
 #: Units x that the enumerating oracles evaluate at a time.  x and 1/x are
-#: views of the cached power table, so a block holds only what is computed
-#: from them: at most two int64 arrays of this length for a polynomial (the
-#: values and the quotient temporary of _tables.reduce_mod), three for a
-#: monomial denominator (the parts in x and in 1/x, and the quotient) and
-#: four for any other (numerator, denominator, the values and the gather's
-#: temporary).  tracemalloc peaks at p = 1,000,003 with the table warm, in
-#: bytes per residue, vp_brute's p-byte bitmap included: 1.26 for a cubic
-#: over Z_p, 1.40 for x^2 + 5/x, 9.54 for 1/(x^2 - 1), 8 of them the
-#: inverses it builds and drops; 0.26 for np_cubic_roots.  jacobsthal_brute
-#: holds one int8 array of this length (the gathered symbols) next to its 2p
-#: bytes of symbols and rotation.
+#: blocks of the cached uint32 power table widened to int64, one array of
+#: this length each; on top of them a block holds at most two int64 arrays
+#: of this length for a polynomial (the values and the quotient temporary
+#: of _tables.reduce_mod), three for a monomial denominator (the parts in x
+#: and in 1/x, and the quotient) and four for any other (numerator,
+#: denominator, the values and the gather's temporary).  tracemalloc peaks
+#: at p = 1,000,003 with the table warm, in bytes per residue, vp_brute's
+#: p-byte bitmap included: 1.39 for a cubic over Z_p, 1.66 for x^2 + 5/x,
+#: 9.67 for 1/(x^2 - 1), 8 of them the inverses it builds and drops; 0.39
+#: for np_cubic_roots.  jacobsthal_brute holds one intp index block and one
+#: int8 array of this length (the gathered symbols) next to its 2p bytes
+#: of symbols and rotation.
 BRUTE_BLOCK = 1 << 14
 
 
@@ -188,12 +190,12 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     with x^(-1) = pw[p-1-k] the same table read backwards.  A monomial
     denominator c x^j, j >= 0 (every other coefficient 0 mod p), has c^(-1)
     folded into the numerator: f(x) = high(x) + low(x^(-1)) through
-    _eval_laurent.  Any other denominator is inverted through the 8p bytes
-    of _tables.inverses, built per call.  O(p) time; p bytes plus a few
-    blocks on top of the cached tables, and a cold prime builds and keeps
-    the 8p-byte power table.  The modulus is
-    capped where int64 products stop being exact (~3.0e9); enumeration is
-    impractical long before that.
+    _eval_laurent, each block of x and x^(-1) widened to int64 first.  Any
+    other denominator is inverted through the 8p bytes of _tables.inverses,
+    built per call.  O(p) time; p bytes plus a few blocks on top of the
+    cached tables, and a cold prime builds and keeps the 4p-byte power
+    table.  The modulus is capped where int64 products stop being exact
+    (~3.0e9); enumeration is impractical long before that.
     """
     import numpy as np
 
@@ -222,7 +224,7 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     pw = _tables.unit_powers(p)
     units, rev = pw[: p - 1], pw[:0:-1]  # rev[k] = g^(p-1-k) = 1 / units[k]
     for lo in range(0, p - 1, BRUTE_BLOCK):
-        xs = units[lo : lo + BRUTE_BLOCK]
+        xs = units[lo : lo + BRUTE_BLOCK].astype(np.int64)
         if j is None:
             n, d = _eval_laurent(num, xs, p), _eval_laurent(den, xs, p)
             ok = d != 0
@@ -233,7 +235,8 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
             del n, d, ok  # before the reduction's quotient
             _tables.reduce_mod(vals, p)
         else:
-            vals = _eval_laurent(high, xs, p, low, rev[lo : lo + BRUTE_BLOCK])
+            inv = rev[lo : lo + BRUTE_BLOCK].astype(np.int64) if low else None
+            vals = _eval_laurent(high, xs, p, low, inv)
         seen[vals] = True
         del vals  # before the next block's arrays
     # every point off the denominator's zeros marks one value
@@ -272,14 +275,15 @@ def family_counts(p: int) -> np.ndarray:
 
     n_units = p - 1
     pw = _tables.unit_powers(p)
-    sq = np.resize(pw[n_units:0:-2], n_units)  # x^2 for x = g^(-i), i < p - 1
+    # x^2 for x = g^(-i), i < p - 1
+    sq = np.resize(pw[n_units:0:-2].astype(np.int64), n_units)
     pw = pw[:n_units]  # every unit once
     counts = np.empty(p, dtype=np.int64)
     squares = np.zeros(p, dtype=bool)
     squares[sq] = True
     counts[0] = np.count_nonzero(squares)
     # window j of the doubled powers is a/x over the units x, row a = g^j
-    quotients = sliding_window_view(np.concatenate((pw, pw)), n_units)
+    quotients = sliding_window_view(np.concatenate((pw, pw), dtype=np.int64), n_units)
     rows = min(n_units, max(1, FAMILY_BLOCK_BYTES // (18 * n_units)))
     # row r of the squares, shifted to start row r of the bitmap
     shifted = np.arange(0, rows * 2 * p, 2 * p, dtype=np.int64)[:, None] + sq
@@ -318,7 +322,8 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     """Number of distinct roots of x^3 + a1 x^2 + a2 x + a3 mod p (0..3).
 
     x = 0 is a root exactly when a3 = 0 (mod p); the units are read as in
-    vp_brute, BRUTE_BLOCK views of the cached _tables.unit_powers at a time.
+    vp_brute, BRUTE_BLOCK of the cached _tables.unit_powers at a time, each
+    block widened to int64.
     """
     import numpy as np
 
@@ -327,7 +332,8 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     units, cubic = _tables.unit_powers(p)[: p - 1], (a3, a2, a1, 1)
     roots = int(a3 % p == 0)
     for lo in range(0, p - 1, BRUTE_BLOCK):
-        roots += int(np.count_nonzero(_eval_laurent(cubic, units[lo : lo + BRUTE_BLOCK], p) == 0))
+        xs = units[lo : lo + BRUTE_BLOCK].astype(np.int64)
+        roots += int(np.count_nonzero(_eval_laurent(cubic, xs, p) == 0))
     return roots
 
 
@@ -335,13 +341,15 @@ def _legendre_symbols(p: int) -> np.ndarray:
     """The Legendre symbols (v/p) over v in [0, p) as int8: +1 exactly on the
     nonzero squares (the definition, not Euler's criterion).  With y = g^k
     (_tables.unit_powers), y^2 = g^(2k mod (p - 1)) runs twice over the even
-    powers pw[0:p-1:2], so the squares are one scatter of that view, with no
-    multiply or reduction."""
+    powers pw[0:p-1:2], so the squares are a scatter of that view, a block
+    of BRUTE_BLOCK indices at a time, with no multiply or reduction."""
     import numpy as np
 
     symbols = np.full(p, -1, dtype=np.int8)
     symbols[0] = 0
-    symbols[_tables.unit_powers(p)[: p - 1 : 2]] = 1
+    squares = _tables.unit_powers(p)[: p - 1 : 2]
+    for lo in range(0, len(squares), BRUTE_BLOCK):
+        symbols[squares[lo : lo + BRUTE_BLOCK].astype(np.intp)] = 1
     return symbols
 
 
@@ -380,7 +388,7 @@ def jacobsthal_brute(m: int, p: int) -> int:
     total = 0
     for cubes in _cube_views(p):
         for lo in range(0, len(cubes), BRUTE_BLOCK):
-            total += int(rotated[cubes[lo : lo + BRUTE_BLOCK]].sum())
+            total += int(rotated[cubes[lo : lo + BRUTE_BLOCK].astype(np.intp)].sum())
     return int(symbols[m]) * total
 
 

@@ -700,8 +700,8 @@ def test_every_sweep_check_finishes_a_prime_before_the_next():
 
 
 def test_per_prime_keeps_one_prime():
-    # after counts at two large primes only the second power table (8p
-    # bytes) stays allocated; a cache of two primes would keep 16p
+    # after counts at two large primes only the second power table (4p
+    # bytes) stays allocated; a cache of two primes would keep 8p
     p, q = 1_000_003, 1_000_033
     f = RationalMap.x2_plus_a_over_x(1)
     vp_brute(f, 13, Domain.NONZERO)  # numpy is imported on first use and stays
@@ -713,12 +713,12 @@ def test_per_prime_keeps_one_prime():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert kept < 10 * p
+    assert kept < 6 * p
 
 
 def test_per_prime_drops_the_old_table_before_it_builds_the_new():
-    # a switch of primes holds one power table (8 bytes per residue) at a
-    # time, plus the doubling's block; keeping the old one would peak at 16
+    # a switch of primes holds one power table (4 bytes per residue) at a
+    # time, plus the doubling's block; keeping the old one would peak at 8
     p, q = 1_000_003, 1_000_033
     _tables.unit_powers(13)  # numpy is imported on first use and stays
     _tables.unit_powers.cache_clear()
@@ -729,8 +729,35 @@ def test_per_prime_drops_the_old_table_before_it_builds_the_new():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 9 * q
+    assert peak < 5 * q
     assert _tables.unit_powers.cache_info().misses == 2
+
+
+def test_unit_powers_keeps_4_bytes_per_residue():
+    # the table is stored as uint32 and built by doubling one int64 block
+    # at a time; widening the whole half-table would peak at 8p
+    p = 1_000_003
+    _tables.unit_powers(13)  # numpy is imported on first use and stays
+    _tables.unit_powers.cache_clear()
+    tracemalloc.start()
+    try:
+        pw = _tables.unit_powers(p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pw.nbytes == 4 * p and kept < 4.1 * p
+    assert peak < 4.5 * p
+    # every unit once, in the order of the discrete logarithm, across many
+    # blocks of the doubling
+    g = _tables.primitive_root(p)
+    assert np.array_equal(np.sort(pw[:-1]), np.arange(1, p))
+    assert pw[p - 1] == 1
+    for k in random.Random(31).sample(range(p), 2000):
+        assert pw[k] == pow(g, k, p), k
+
+
+def test_unit_powers_dtype_holds_every_enumerable_residue():
+    assert np.iinfo(_tables.unit_powers(13).dtype).max >= _tables.MAX_ENUM_PRIME - 1
 
 
 def test_per_prime_shares_one_slot_across_integer_types():
