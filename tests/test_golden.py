@@ -33,8 +33,8 @@ FAMILY_MAX_P, JACOBSTHAL_ALL_MAX_P = 3001, 32_771
 
 
 def seeded_maps(p: int) -> list[tuple[RationalMap, Domain]]:
-    """The two paper families, a cubic and two maps whose denominators are
-    no monomial, with coefficients drawn from a generator seeded by p."""
+    """The two paper families and a cubic, with coefficients drawn from a
+    generator seeded by p."""
     rng = random.Random(p)
     a = [rng.randrange(1, p) for _ in range(6)]
     return [
@@ -42,8 +42,6 @@ def seeded_maps(p: int) -> list[tuple[RationalMap, Domain]]:
         (RationalMap.x2_plus_a_over_x(a[1]), Domain.ALL),
         (RationalMap.x_plus_a_over_2x2(a[2]), Domain.NONZERO),
         (RationalMap.cubic(a[3], a[4], a[5]), Domain.ALL),
-        (RationalMap((1,), (-1, 0, 1)), Domain.ALL),
-        (RationalMap((a[0], a[1], 0, 1), (a[2], 0, 1)), Domain.NONZERO),
     ]
 
 
@@ -79,34 +77,34 @@ def oracle_digests(p: int) -> dict[str, str]:
 
 
 GOLDEN = {
-    "vp_brute 13": "6ed58eb05f6a7d8a6e98816014c9a304f16d2c193c7bbd0612c70e599a5b1e04",
+    "vp_brute 13": "8193d0c2eb09062e14eedc29a39d1c89d1e1e8309e553188fe0b28b7a1278247",
     "np_cubic_roots 13": "e633b45d2bf23a2633182a1e3b267eea84de05a8334f7f4c298532a4a7d7703b",
     "jacobsthal_brute 13": "b91cb37b27833a926440c73f5d0c575c67b32a089ac73737f9e9cf24f704386c",
     "t_preimage_counts 13": "bd8c0764ef5fca97f3afaad873e072ff3fd7f36fd23db1ee2b9a02e34f801d14",
     "inverses 13": "710898d29f5c89059eec7140e38a94faf8a03f7a0731bf82faae881e7b69843e",
     "family_counts 13": "5b94841eeffd8320ee64921deebcb98100f8ed874b2044efae2011c250a4c688",
     "jacobsthal_all 13": "625c7f391a0aff6a21d61258d4ab549374c89f471999eded99807039403e3b83",
-    "vp_brute 1009": "5591abe7230e96d88314b923602ed94d8e04db20150cd80d564fe87e3a5108f3",
+    "vp_brute 1009": "5cb9623f43babec27906ac857c379162633dcea9361dcc2f7f8695310722cc6b",
     "np_cubic_roots 1009": "8181c57a1fec9a0f87f2b7b702ea39b31e729245c735c4af775e506f9d3bfc56",
     "jacobsthal_brute 1009": "263a75f9accfa36a191ecc6321f95cde8b35cf892181e42e87702f06d5b7aa29",
     "t_preimage_counts 1009": "759ac2bf384b1d819581ccf0a7d3bc5bbf9f31c7c05d679486f70acac7f217ca",
     "inverses 1009": "8b7c67849556cca830ad24b65b9d1831a0db4ebe3e35ef70122ae4b36049964e",
     "family_counts 1009": "56b86072b5fb2603e705e2dcdf587ad9e9c7ce925dd62f66fef089f69ec6927b",
     "jacobsthal_all 1009": "839cd364bf6d9390554b547763a9ed6e09c3bb28723c996cb6a8ab71b37d2019",
-    "vp_brute 3001": "8e738ecbf03302b5816925cfbba8f8e961913e5f1f639a104cccf4db557a1ca4",
+    "vp_brute 3001": "2a757a7ec85f6a65495401dd1c61b5453e770db104fa436116ea84a2d0311e95",
     "np_cubic_roots 3001": "23f38bf37ef057661d2de818bc11fdee8a4f47f284c793606135a1ba7fb99ae0",
     "jacobsthal_brute 3001": "87356375c7dc2e8983f2a0ffed1898b65d87734b004a8ed034f4f389d96ce7f1",
     "t_preimage_counts 3001": "470dff3637db28aee34f66e42cf2bd79e9f68d924fc344b36bdc49db605ef480",
     "inverses 3001": "00e54b77578f51c2cd4ff2fbe4525f6d940f574e34ecff55d2cf042b5e90cc03",
     "family_counts 3001": "6904471602cc7095a1131257eccc78e0026d92755e982bb2a46b6d65fe47fb3f",
     "jacobsthal_all 3001": "634191bd1150a71e598c06a3e0859cd6856802c99969e21ae7fb549259d3608c",
-    "vp_brute 32771": "a864906dfaf1a1a2d6e6eb77cd631181e9670a1a3b7244d120806a10549b3cf7",
+    "vp_brute 32771": "5cdc52298b69c5098f7b96846f61cccd8a8c9cf21e262b3c871885828d6f7a7e",
     "np_cubic_roots 32771": "5ae5c4f13b64c6d01db3c44ef617bfbaa950d28cd3588143c57069c796d296a4",
     "jacobsthal_brute 32771": "af9613760f72635fbdb44a5a0a63c39f12af30f950a6ee5c971be188e89c4051",
     "t_preimage_counts 32771": "4da563e89ebaa4de4571762f55d4f9e981ce92171dc69ad284a876c3c2707b00",
     "inverses 32771": "b13f459052467ed9b5676ab31920982707674fa043dab4001a7edea27dec1d6f",
     "jacobsthal_all 32771": "9bee1cb1fdfed93027417d30c3c99c6aa3294ef7cca6ff582361a7adee5dffad",
-    "vp_brute 1000003": "bec978f4ab5957200eb0b12dea6c75bbb1a43cae8899ab08c8de546afe2a1a54",
+    "vp_brute 1000003": "c0013740e7a93eacf822a7a1b7ad4c75774ec2a0d4b06c9d49d43d9e851827e1",
     "np_cubic_roots 1000003": "14594139164d738943af5b5334bb610a6aa0f1f839003e61f82564c58d354232",
     "jacobsthal_brute 1000003": "d322915ae514fccc6b8ceefc83be48e1af5601e4d058fe4a42d628b6177e24be",
     "t_preimage_counts 1000003": "0912a73a526a24fbafe5a464a652612bc6b87c9a7f9301b43c84a7c37b01c2e8",
