@@ -19,12 +19,13 @@ value-based ones) and the product would wrap silently.  A strided view
 of it that indexes a gather or scatter is cast to np.intp a block at a
 time: numpy's own cast of a strided uint32 index was slower.
 oracle.family_counts serves four sweep checks, and
-cubicres.t_preimage_counts one lookup per t.  No caller reads inverses
-twice at one prime, so it is built per call and not kept.  reduce_mod is
-the one way an array is reduced mod p anywhere in the package: numpy's
-int64 % costs about four times its floor division.  is_prime, the
-package's one primality test (Baillie-PSW below 2**64: one strong
-probable-prime round to base 2 and one strong Lucas test, with no table),
+cubicres.t_preimage_counts one lookup per t.  inverses has one reader,
+t_preimage_counts, which builds its cached table from it once per prime,
+so it is built per call and not kept.  reduce_mod is the one way an
+array is reduced mod p anywhere in the package: numpy's int64 % costs
+about four times its floor division.  is_prime, the
+package's one primality test (Baillie-PSW, one strong probable-prime
+round to base 2 and one strong Lucas test with no table, for n < 2**64),
 and check_int, its one rule for what an integer argument is, live here so
 that the oracles and modarith can both import them.  numpy is imported on
 first use, inside the table builders, so importing the package costs no
@@ -53,32 +54,26 @@ MAX_ENUM_PRIME = 3_037_000_499
 # probable-prime round to base 2 and one strong Lucas test with Selfridge's
 # parameters (Baillie-PSW): no composite below 2**64 passes both (Gilchrist
 # checked Feitsma's list of base-2 pseudoprimes), and neither needs a table.
-# Above that the first 13 primes are the Miller-Rabin bases: the first twelve
-# are fooled by 318665857834031151167461 = 399165290221 * 798330580441; the
-# first 13 decide every n < _MR_LIMIT (Sorenson & Webster, Math. Comp. 2017).
-_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
     """Trial division by the primes to 41, which decides every n < 43**2;
     then Baillie-PSW (a strong probable-prime round to base 2, then
-    _strong_lucas_prp) below 2**64, and Miller-Rabin to the 13 bases
-    _MR_PRIMES from there.  Exact and deterministic below _MR_LIMIT
-    (3.3e24); ValueError from there on and for a non-int."""
+    _strong_lucas_prp).  Exact and deterministic below 2**64, which covers
+    every modulus the package accepts; ValueError from there on and for a
+    non-int."""
     n = check_int("n", n)
+    if n >= 1 << 64:
+        raise ValueError(f"is_prime decides n < 2**64 only, got {n}")
     if n < 2:
         return False
-    for q in _MR_PRIMES:
+    for q in _SMALL_PRIMES:
         if n % q == 0:
             return n == q
     if n < 1849:
         return True
-    if n >= _MR_LIMIT:
-        raise ValueError(f"no deterministic primality test is known for n >= {_MR_LIMIT}")
-    if n < 1 << 64:
-        return _strong_prp(n, 2) and _strong_lucas_prp(n)
-    return all(_strong_prp(n, a) for a in _MR_PRIMES)
+    return _strong_prp(n, 2) and _strong_lucas_prp(n)
 
 
 def _strong_prp(n: int, a: int) -> bool:
@@ -308,8 +303,10 @@ def unit_powers(p: int) -> np.ndarray:
 def inverses(p: int) -> np.ndarray:
     """inverses(p)[x] = x^(-1) mod p for x in [1, p); slot 0 holds 0.
 
-    O(p), not cached: since g^(-k) = g^(p-1-k), the inverses are one scatter
-    of the cached unit_powers (which checks p first), inv[pw[k]] = pw[p-1-k].
+    O(p), not cached: its one reader, cubicres.t_preimage_counts, caches
+    the table it builds from it.  Since g^(-k) = g^(p-1-k), the inverses
+    are one scatter of the cached unit_powers (which checks p first),
+    inv[pw[k]] = pw[p-1-k].
     """
     import numpy as np
 

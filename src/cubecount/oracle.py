@@ -15,8 +15,9 @@ takes it, is one scalar point.  Two batched kernels answer a whole family
 at one prime: family_counts, cached per prime, enumerates x^2 + a/x for
 every a at once, a/x a window of the doubled table, so each cell costs one
 add and one scatter; jacobsthal_all correlates the histogram of the cube
-views with the Legendre symbols.  vp_brute builds _tables.inverses, once
-per call and not kept, only for a denominator that is no monomial.
+views with the Legendre symbols.  vp_brute counts only maps whose
+denominator is one term c x^j, Laurent polynomials, as is every map the
+package counts, so it builds no inverse table.
 
 The per-parameter oracles stream: vp_brute, np_cubic_roots and
 jacobsthal_brute read BRUTE_BLOCK units at a time, each block widened to
@@ -27,9 +28,9 @@ blocks.  Polynomials go through _horner, which reduces mod p only where a
 value can have reached p, with _tables.reduce_mod: a floor division at
 under half the cost of numpy's int64 %, and still the dearest step.  The
 one evaluator, _eval_laurent, takes f as a polynomial in x plus one in
-1/x (none for a polynomial) and reduces their sum once.  jacobsthal_brute
-computes nothing per point: it gathers the rotated symbols at the cube
-views and sums.
+1/x (none for a polynomial), widens the blocks of the table it is given
+and reduces the sum once.  jacobsthal_brute computes nothing per point:
+it gathers the rotated symbols at the cube views and sums.
 """
 
 from __future__ import annotations
@@ -108,19 +109,18 @@ class CountResult:
     attained: np.ndarray | None = None
 
 
-#: Units x that the enumerating oracles evaluate at a time.  x and 1/x are
-#: blocks of the cached uint32 power table widened to int64, one array of
-#: this length each; on top of them a block holds at most two int64 arrays
-#: of this length for a polynomial (the values and the quotient temporary
-#: of _tables.reduce_mod), three for a monomial denominator (the parts in x
-#: and in 1/x, and the quotient) and four for any other (numerator,
-#: denominator, the values and the gather's temporary).  tracemalloc peaks
-#: at p = 1,000,003 with the table warm, in bytes per residue, vp_brute's
-#: p-byte bitmap included: 1.39 for a cubic over Z_p, 1.66 for x^2 + 5/x,
-#: 9.67 for 1/(x^2 - 1), 8 of them the inverses it builds and drops; 0.39
-#: for np_cubic_roots.  jacobsthal_brute holds one intp index block and one
-#: int8 array of this length (the gathered symbols) next to its 2p bytes
-#: of symbols and rotation.
+#: Units x that the enumerating oracles evaluate at a time.  _eval_laurent
+#: widens a block of x, and of 1/x for a map with a part in 1/x, from the
+#: cached uint32 power table to int64, one array of this length each; on
+#: top of them a block holds at most two int64 arrays of this length for a
+#: polynomial (the values and the quotient temporary of _tables.reduce_mod)
+#: and three for a map with a part in 1/x (the parts in x and in 1/x, and
+#: the quotient).  tracemalloc peaks at p = 1,000,003 with the table warm,
+#: in bytes per residue, vp_brute's p-byte bitmap included: 1.40 for a
+#: cubic over Z_p, 1.53 for x^2 + 5/x; 0.39 for np_cubic_roots.
+#: jacobsthal_brute holds one intp index block and one int8 array of this
+#: length (the gathered symbols) next to its 2p bytes of symbols and
+#: rotation.
 BRUTE_BLOCK = 1 << 14
 
 
@@ -159,21 +159,22 @@ def _horner(coeffs: tuple[int, ...], xs: np.ndarray, p: int) -> tuple[np.ndarray
 def _eval_laurent(
     high: tuple[int, ...], xs: np.ndarray, p: int, low: tuple[int, ...] = (), inv=None
 ) -> np.ndarray:
-    """high(x) + low(x^(-1)) mod p for every x in xs (int64, in [0, p)),
-    inv their inverses: each part by _horner, the sum reduced once, so that
-    x^2 + a/x costs one reduction per point.  An empty low reads no inv, so
-    x = 0 may be in xs, and the result may be xs itself, which callers do
-    not write into.  xs may be a read-only view."""
+    """high(x) + low(x^(-1)) mod p for every x in xs, inv their inverses:
+    blocks of residues in [0, p) of any integer dtype, such as views of the
+    uint32 _tables.unit_powers, each widened to int64 here.  Each part goes
+    through _horner and the sum is reduced once, so that x^2 + a/x costs one
+    reduction per point.  An empty low reads no inv, which may then be None,
+    and x = 0 may be in xs."""
     import numpy as np
 
+    xs = xs.astype(np.int64)  # a copy: the sum below may be written into it
     vals, bound = _horner(high, xs, p)
     if low:
-        tail, tail_bound = _horner(low, inv, p)
-        if bound + tail_bound >= 1 << 63:
-            # only for p above 2.1e9; then bound >= p, so vals is not xs
+        tail, tail_bound = _horner(low, inv.astype(np.int64), p)
+        if bound + tail_bound >= 1 << 63:  # only for p above 2.1e9
             _tables.reduce_mod(vals, p)
             bound = p - 1
-        vals = vals + tail if vals is xs else np.add(vals, tail, out=vals)
+        np.add(vals, tail, out=vals)
         bound += tail_bound
     if bound >= p:
         _tables.reduce_mod(vals, p)
@@ -183,19 +184,20 @@ def _eval_laurent(
 def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) -> CountResult:
     """Count distinct values of f over the domain, by enumeration.
 
-    Denominator zeros are skipped; if every point is one, EmptyDomain is
-    raised.  Over Domain.ALL, x = 0 is one scalar point, f(0) = num[0] /
-    den[0] unless den[0] = 0 (mod p).  The units are walked a block of
-    BRUTE_BLOCK at a time as x = pw[k] of the cached _tables.unit_powers,
-    with x^(-1) = pw[p-1-k] the same table read backwards.  A monomial
-    denominator c x^j, j >= 0 (every other coefficient 0 mod p), has c^(-1)
-    folded into the numerator: f(x) = high(x) + low(x^(-1)) through
-    _eval_laurent, each block of x and x^(-1) widened to int64 first.  Any
-    other denominator is inverted through the 8p bytes of _tables.inverses,
-    built per call.  O(p) time; p bytes plus a few blocks on top of the
-    cached tables, and a cold prime builds and keeps the 4p-byte power
-    table.  The modulus is capped where int64 products stop being exact
-    (~3.0e9); enumeration is impractical long before that.
+    f is a Laurent polynomial: its denominator is one term c x^j mod p, as
+    for every map the package counts (x^2 + a/x, x + a/(2x^2) and the
+    cubics).  A denominator with two or more terms nonzero mod p is a
+    ValueError, and one with none is EmptyDomain, each raised before
+    anything is allocated.  c^(-1) is folded into the numerator, so f(x) =
+    high(x) + low(x^(-1)), through _eval_laurent at every unit: the units
+    are walked a block of BRUTE_BLOCK at a time as x = pw[k] of the cached
+    _tables.unit_powers, with x^(-1) = pw[p-1-k] the same table read
+    backwards.  Over Domain.ALL, x = 0 is one more scalar point, f(0) =
+    num[0] / c, when j = 0; for j > 0 it is a pole.  O(p) time; p bytes
+    plus a few blocks on top of the cached table, and a cold prime builds
+    and keeps the 4p-byte power table.  The modulus is capped where int64
+    products stop being exact (~3.0e9); enumeration is impractical long
+    before that.
     """
     import numpy as np
 
@@ -208,42 +210,24 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
     terms = [j for j, c in enumerate(den) if c % p]
     if not terms:
         raise EmptyDomain(f"denominator vanishes on the whole domain mod {p}")
+    if len(terms) > 1:
+        raise ValueError(f"the denominator must be one term c x^j mod {p}, got {den}")
+    (j,) = terms
+    # poly(x) / x^j = high(x) + low(1/x): high holds poly's terms of degree
+    # j and up, low the rest, a polynomial in 1/x of degree j
+    c_inv = pow(den[j], -1, p)
+    poly = tuple(c * c_inv for c in num) + (0,) * (j + 1 - len(num))
+    high, low = poly[j:], poly[:j][::-1]
+    low = (0,) + low if any(c % p for c in low) else ()  # () if no 1/x part
     seen = np.zeros(p, dtype=bool)
-    if domain is Domain.ALL and den[0] % p:
-        seen[num[0] * pow(den[0], -1, p) % p] = True
-    j = terms[0] if len(terms) == 1 else None
-    if j is None:
-        inverses = _tables.inverses(p)
-    else:
-        # poly(x) / x^j = high(x) + low(1/x): high holds poly's terms of
-        # degree j and up, low the rest, a polynomial in 1/x of degree j
-        c_inv = pow(den[j], -1, p)
-        poly = tuple(c * c_inv for c in num) + (0,) * (j + 1 - len(num))
-        high, low = poly[j:], poly[:j][::-1]
-        low = (0,) + low if any(c % p for c in low) else ()  # () if no 1/x part
+    if domain is Domain.ALL and j == 0:
+        seen[poly[0] % p] = True
     pw = _tables.unit_powers(p)
     units, rev = pw[: p - 1], pw[:0:-1]  # rev[k] = g^(p-1-k) = 1 / units[k]
     for lo in range(0, p - 1, BRUTE_BLOCK):
-        xs = units[lo : lo + BRUTE_BLOCK].astype(np.int64)
-        if j is None:
-            n, d = _eval_laurent(num, xs, p), _eval_laurent(den, xs, p)
-            ok = d != 0
-            if not ok.all():
-                n, d = n[ok], d[ok]
-            vals = inverses[d]
-            vals *= n
-            del n, d, ok  # before the reduction's quotient
-            _tables.reduce_mod(vals, p)
-        else:
-            inv = rev[lo : lo + BRUTE_BLOCK].astype(np.int64) if low else None
-            vals = _eval_laurent(high, xs, p, low, inv)
-        seen[vals] = True
-        del vals  # before the next block's arrays
-    # every point off the denominator's zeros marks one value
-    v = int(np.count_nonzero(seen))
-    if v == 0:
-        raise EmptyDomain(f"denominator vanishes on the whole domain mod {p}")
-    return CountResult(v, seen if want_bitmap else None)
+        hi = lo + BRUTE_BLOCK
+        seen[_eval_laurent(high, units[lo:hi], p, low, rev[lo:hi])] = True
+    return CountResult(int(np.count_nonzero(seen)), seen if want_bitmap else None)
 
 
 #: Bytes family_counts holds per block of rows a, 18 per (a, x) cell: the
@@ -323,7 +307,7 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
 
     x = 0 is a root exactly when a3 = 0 (mod p); the units are read as in
     vp_brute, BRUTE_BLOCK of the cached _tables.unit_powers at a time, each
-    block widened to int64.
+    block widened to int64 by _eval_laurent.
     """
     import numpy as np
 
@@ -332,8 +316,7 @@ def np_cubic_roots(a1: int, a2: int, a3: int, p: int) -> int:
     units, cubic = _tables.unit_powers(p)[: p - 1], (a3, a2, a1, 1)
     roots = int(a3 % p == 0)
     for lo in range(0, p - 1, BRUTE_BLOCK):
-        xs = units[lo : lo + BRUTE_BLOCK].astype(np.int64)
-        roots += int(np.count_nonzero(_eval_laurent(cubic, xs, p) == 0))
+        roots += int(np.count_nonzero(_eval_laurent(cubic, units[lo : lo + BRUTE_BLOCK], p) == 0))
     return roots
 
 

@@ -103,13 +103,10 @@ def test_is_prime_examples():
     f = trial_factor(n)
     assert f is not None and n % f == 0
     assert is_prime(2**61 - 1)
-    # the least strong pseudoprime to the first twelve prime bases, and the
-    # least prime above 2**64, where the first 13 primes are the bases
-    assert not is_prime(318665857834031151167461)
-    assert is_prime(2**64 + 13)
-    # no deterministic witness set is known from 3.3e24 on
-    for n in (3317044064679887385961981, 2**89 - 1):
-        with pytest.raises(ValueError, match="no deterministic primality test"):
+    assert is_prime(2**64 - 59)  # the largest prime below 2**64
+    # no modulus the package accepts reaches 2**64: is_prime decides below it only
+    for n in (2**64, 2**64 + 13, 318665857834031151167461, 2**89 - 1):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
             is_prime(n)
 
 

@@ -59,11 +59,6 @@ def test_vp_brute_examples():
     for p in (5, 7, 13, 101):
         sq = vp_brute(RationalMap((0, 0, 1)), p, Domain.ALL)
         assert sq.v == (p + 1) // 2
-    # x^7 / (1 - x^6) at p = 7: every unit is a pole, so x = 0 is the only point
-    only_zero = RationalMap((0, 0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, -1))
-    assert vp_brute(only_zero, 7, Domain.ALL).v == 1
-    with pytest.raises(EmptyDomain):
-        vp_brute(only_zero, 7, Domain.NONZERO)
 
 
 def test_vp_brute_bitmap():
@@ -84,25 +79,11 @@ def test_vp_brute_matches_pure_python():
             assert vp_brute(f, p, Domain.NONZERO).v == want
 
 
-def test_vp_brute_skips_denominator_zeros():
-    # 1 / (x^2 - 1) is undefined at two points of the full domain
-    f = RationalMap((1,), (-1, 0, 1))
-    want = len({pow(x * x - 1, -1, 7) for x in range(7) if (x * x - 1) % 7})
-    assert vp_brute(f, 7, Domain.ALL).v == want
-
-
 def test_vp_brute_empty_domain_and_cap():
     with pytest.raises(EmptyDomain):
         vp_brute(RationalMap((1,), (0,)), 7, Domain.ALL)
     with pytest.raises(ValueError):
         vp_brute(RationalMap((0, 1), (1,)), 3_100_000_000, Domain.ALL)
-
-
-@pytest.mark.parametrize("domain", list(Domain))
-def test_vp_brute_denominator_vanishing_everywhere_is_empty(domain):
-    # x^5 - x is zero at every x mod 5, so 1/(x^5 - x) has no point to count
-    with pytest.raises(EmptyDomain):
-        vp_brute(RationalMap((1,), (0, -1, 0, 0, 0, 1)), 5, domain)
 
 
 def test_inv_table_inverts_every_unit():
@@ -162,14 +143,11 @@ BLOCK_PRIMES = tuple(
 
 @pytest.mark.parametrize("p", BLOCK_PRIMES)
 def test_blocked_vp_brute_matches_python_values(p):
-    # both domains end on a partial block; 1/(x - c) has its pole in the
-    # last block, and 1/(x^2 - x), no monomial, has one at x = 0
+    # both domains end on a partial block
     maps = (
         RationalMap.x2_plus_a_over_x(5),
         RationalMap.cubic(1, 2, 3),
         RationalMap.x_plus_a_over_2x2(7),
-        RationalMap((1,), (-(p - 3), 1)),
-        RationalMap((1,), (0, -1, 1)),
     )
     for f in maps:
         for domain in Domain:
@@ -288,8 +266,7 @@ def test_jacobsthal_sums_at_one_prime_build_one_power_table(inverse_builds):
 
 def test_every_oracle_at_one_prime_builds_one_power_table(inverse_builds):
     # the units are read off one cached table: no oracle builds its own
-    # range of residues, and only a denominator that is no monomial would
-    # build the inverse table
+    # range of residues or the inverse table
     p = 10_007
     _tables.unit_powers.cache_clear()
     vp_brute(RationalMap.cubic(1, 2, 3), p, Domain.ALL)
@@ -297,6 +274,35 @@ def test_every_oracle_at_one_prime_builds_one_power_table(inverse_builds):
     jacobsthal_brute(5, p)
     jacobsthal_all(p)
     assert _tables.unit_powers.cache_info().misses == 1
+    assert inverse_builds == []
+
+
+@pytest.mark.parametrize("p", [7, 1_000_003])
+@pytest.mark.parametrize("domain", list(Domain))
+def test_vp_brute_refuses_a_denominator_of_two_terms(p, domain, inverse_builds):
+    # each denominator has two or more terms nonzero mod p: 1/(x^2 - 1),
+    # x^7/(1 - x^6), 1/(x^5 - x), 1/(x - c) and 1/(x^2 - x).  Each is a
+    # ValueError before the bitmap, the power table or an inverse table
+    # is built.
+    maps = (
+        RationalMap((1,), (-1, 0, 1)),
+        RationalMap((0, 0, 0, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0, -1)),
+        RationalMap((1,), (0, -1, 0, 0, 0, 1)),
+        RationalMap((1,), (-(p - 3), 1)),
+        RationalMap((1,), (0, -1, 1)),
+    )
+    vp_brute(RationalMap.x2_plus_a_over_x(1), 13, Domain.NONZERO)  # numpy is imported and stays
+    _tables.unit_powers.cache_clear()
+    for f in maps:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="one term"):
+                vp_brute(f, p, domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (f, peak)
+    assert _tables.unit_powers.cache_info() == (0, 0, 1, 0)
     assert inverse_builds == []
 
 
@@ -330,15 +336,6 @@ def test_vp_brute_memory_is_the_bitmap_plus_one_block():
     assert vp_brute_memory(RationalMap.x2_plus_a_over_x(5), p)[1] < 2 * p
 
 
-def test_vp_brute_memory_with_the_inverse_table_is_the_bitmap_plus_one_block():
-    # 1/(x^2 - 1) is no monomial: its count builds the 8p-byte inverse
-    # table next to the bitmap and one block, and keeps none of them
-    p = 1_000_003
-    kept, peak = vp_brute_memory(RationalMap((1,), (-1, 0, 1)), p)
-    assert peak < 10 * p
-    assert kept < p
-
-
 def test_np_cubic_roots_streams_the_units():
     p = 1_000_003
     np_cubic_roots(1, 2, 3, 13)  # numpy is imported on first use and stays
@@ -352,20 +349,22 @@ def test_np_cubic_roots_streams_the_units():
     assert peak < 2 * p
 
 
-def test_family_counts_reads_the_squares_off_the_power_table():
+def test_family_counts_reads_the_squares_off_the_power_table(monkeypatch):
     # x^2 is a copy of the power table's even entries, with no exponent
-    # array: about 53 bytes per residue
-    p = 30_011
+    # array.  With one row per block, the O(p) arrays are what is left:
+    # about 60 bytes per residue, where an exponent array made it 68
+    p = 3001
     family_counts(13)  # numpy is imported on first use and stays
     _tables.unit_powers(p)  # the cached table is not the build's memory
     family_counts.cache_clear()
+    monkeypatch.setattr(oracle, "FAMILY_BLOCK_BYTES", 1)
     tracemalloc.start()
     try:
         family_counts(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 57 * p
+    assert peak < 64 * p
 
 
 def test_oracle_arguments_must_be_integers():
