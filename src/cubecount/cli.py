@@ -227,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes (default: all cores); output does not depend on it",
+        help="processes that check primes, this one included (default: all cores); "
+        "output does not depend on it",
     )
     add_format(sp)
     sp.set_defaults(func=cmd_sweep)

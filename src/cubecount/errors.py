@@ -14,6 +14,7 @@ __all__ = [
     "MissingRep",
     "NonIntegerResult",
     "SingularPoint",
+    "WorkerLost",
     "WrongResidueClass",
     "ZeroArgument",
     "ZeroInverse",
@@ -67,3 +68,7 @@ class NonIntegerResult(CubecountError, ArithmeticError):
 
 class InternalInconsistency(CubecountError, RuntimeError):
     """Two paths that must agree did not; indicates a bug, never bad input."""
+
+
+class WorkerLost(CubecountError, ChildProcessError):
+    """A process started to share a sweep's work ended before it sent its results."""

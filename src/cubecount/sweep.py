@@ -16,9 +16,10 @@ cor21 take p's rep once per prime: at a = 1 they compare the public
 function (vp_closed, jacobsthal_closed, vp_2a), which checks p, at every
 other a its kernel (_vp, _jacobsthal, _vp_2a), which is the same arithmetic
 without the argument checks and the result object.  cor21's cube test
-stays the public is_cubic_residue at every a, independent of vp_2a.  Rows
-are produced in ascending-p order and do not depend on how the work was
-split across processes.
+stays the public is_cubic_residue at every a, independent of vp_2a.
+run_sweep checks primes in the calling process and in jobs - 1 processes it
+starts, each taking the largest prime left until none is; rows are merged
+in ascending-p order, so they do not depend on how the work was split.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from math import isqrt
 
 from ._tables import MAX_ENUM_PRIME, check_int
@@ -45,6 +45,7 @@ from .closedform import (
     jacobi_check,
 )
 from .cubicres import is_cubic_residue, t_preimage_counts
+from .errors import WorkerLost
 from .oracle import Domain, RationalMap, family_counts, jacobsthal_all, vp_brute
 from .quadform import _cached_a3b, represent_l27m
 
@@ -212,13 +213,46 @@ def _check_prime(names: list[str], p: int) -> tuple[int, list[dict]]:
     return sum(n for n, _ in done), [row for _, rows in done for row in rows]
 
 
+def _work(names: list[str], ps: list[int], left) -> dict[int, tuple[int, list[dict]]]:
+    """{index into ps: _check_prime's result} of the primes this process takes.
+
+    left is a shared multiprocessing.Value, the number of primes of ps that no
+    process has taken yet; each take is the largest of them, so the last
+    primes taken are the cheapest.
+    """
+    done = {}
+    while True:
+        with left.get_lock():
+            if left.value == 0:
+                return done
+            left.value -= 1
+            i = left.value
+        done[i] = _check_prime(names, ps[i])
+
+
+def _work_and_send(names: list[str], ps: list[int], left, conn) -> None:
+    """A started process's share: its _work, or the exception it raised, sent on conn."""
+    try:
+        result = _work(names, ps, left)
+    except Exception as exc:
+        with left.get_lock():
+            left.value = 0  # the other processes stop after the prime they hold
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
 def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     """Run the selected checks over every prime 3 < p <= max_p.
 
-    Each prime is one task; workers are stateless and results are merged
-    back in ascending order, so the report is identical for any job count.
-    At most os.cpu_count() worker processes are started; config["jobs"]
-    records the number used.
+    Each prime is one task.  The calling process works through the tasks with
+    jobs - 1 processes it starts, each taking the largest prime left; results
+    are merged back in ascending order, so the report is identical for any
+    job count.  At most os.cpu_count() processes work, the caller included;
+    config["jobs"] records the number used.  An exception raised in a started
+    process is raised here, and a started process that ends without sending
+    its results raises WorkerLost; either way no started process outlives
+    the call.
     """
     t0 = time.perf_counter()
     max_p = check_int("max_p", max_p)
@@ -235,15 +269,40 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     jobs = 1 if jobs is None else max(1, check_int("jobs", jobs))
     ps = primes_between(5, max_p)
     jobs = min(jobs, os.cpu_count() or 1, max(1, len(ps)))
-    check = partial(_check_prime, names)
-    if jobs == 1:
-        parts = list(map(check, ps))
-    else:
-        from multiprocessing import Pool
+    from multiprocessing import Pipe, Process, Value
 
-        with Pool(jobs) as pool:
-            # chunksize=1: the default would batch the heaviest primes together
-            parts = pool.map(check, ps, chunksize=1)
+    left = Value("q", len(ps))
+    procs, conns = [], []
+    try:
+        for _ in range(jobs - 1):
+            conn, child_conn = Pipe(duplex=False)
+            conns.append(conn)
+            proc = Process(target=_work_and_send, args=(names, ps, left, child_conn), daemon=True)
+            proc.start()
+            procs.append(proc)
+            child_conn.close()  # so that recv sees EOF once the process is gone
+        done = _work(names, ps, left)
+        for proc, conn in zip(procs, conns):
+            try:
+                got = conn.recv()
+            except EOFError:
+                proc.join()
+                raise WorkerLost(
+                    f"a sweep process ended with exit code {proc.exitcode} "
+                    "before it sent its results"
+                ) from None
+            if isinstance(got, Exception):
+                raise got
+            done.update(got)
+    finally:
+        # every result is in hand or the sweep is failing: stop what still runs
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+        for conn in conns:
+            conn.close()
+    parts = [done[i] for i in range(len(ps))]
     pairs = sum(n for n, _ in parts)
     mism = [row for _, rows in parts for row in rows]
     return SweepReport(

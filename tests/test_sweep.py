@@ -5,13 +5,15 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from cubecount import closedform, sweep
+from cubecount import closedform, errors, sweep
 from cubecount.sweep import CHECKS, SweepReport, primes_between, run_sweep
+from helpers import time_limit
 
 
 def test_registry_names():
@@ -267,7 +269,7 @@ def test_run_sweep_tiny_range():
 
 
 def test_run_sweep_caps_jobs_at_cpu_count(monkeypatch):
-    # four primes up to 13, so even a broken cap starts at most four workers
+    # four primes up to 13, so even a broken cap starts at most three processes
     serial = run_sweep(13, jobs=1)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     rep = run_sweep(13, jobs=1000)
@@ -283,10 +285,13 @@ def flag_1mod4(p):
     return sweep._compare("planted", p, [(1, 0, int(p % 4 == 1))])
 
 
-@pytest.mark.skipif(
+only_under_fork = pytest.mark.skipif(
     multiprocessing.get_all_start_methods()[0] != "fork",
-    reason="a check planted in this process reaches only forked workers",
+    reason="a check planted in this process reaches only forked processes",
 )
+
+
+@only_under_fork
 def test_mismatch_rows_merge_in_ascending_p(monkeypatch):
     monkeypatch.setitem(CHECKS, "planted", flag_1mod4)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -297,3 +302,128 @@ def test_mismatch_rows_merge_in_ascending_p(monkeypatch):
     assert [row["p"] for row in serial.mismatches] == want
     assert parallel.mismatches == serial.mismatches
     assert parallel.pairs_checked == serial.pairs_checked
+
+
+def test_run_sweep_starts_one_process_fewer_than_jobs(monkeypatch):
+    # the caller works too; a Pool's workers are started through the same method
+    started = []
+    real_start = multiprocessing.process.BaseProcess.start
+
+    def counted_start(self):
+        started.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    serial = run_sweep(60, ["lemma22", "jacobi"], jobs=1)
+    assert started == []
+    for jobs in (2, 3):
+        started.clear()
+        with time_limit(60):
+            rep = run_sweep(60, ["lemma22", "jacobi"], jobs=jobs)
+        assert rep.config["jobs"] == jobs
+        assert len(started) == jobs - 1
+        assert (rep.pairs_checked, rep.mismatches) == (serial.pairs_checked, serial.mismatches)
+    assert multiprocessing.active_children() == []
+
+
+@only_under_fork
+def test_error_in_a_started_process_is_raised_by_run_sweep(monkeypatch):
+    caller, taken, checked_here = os.getpid(), multiprocessing.Event(), []
+
+    def planted(p):
+        if os.getpid() != caller:
+            taken.set()
+            raise errors.InternalInconsistency("planted fault in a started process")
+        taken.wait(30)  # the started process takes a prime before the caller takes them all
+        checked_here.append(p)
+        time.sleep(0.05)
+        return 0, []
+
+    monkeypatch.setitem(CHECKS, "planted", planted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fault = "^planted fault in a started process$"
+    with time_limit(60), pytest.raises(errors.InternalInconsistency, match=fault):
+        run_sweep(60, ["planted"], jobs=2)
+    assert multiprocessing.active_children() == []
+    # the failing process empties the shared counter, so the caller stops
+    # early rather than checking the 13 primes no process took
+    assert len(checked_here) < 13
+
+
+@only_under_fork
+def test_error_in_the_caller_stops_every_started_process(monkeypatch):
+    caller, taken = os.getpid(), multiprocessing.Event()
+
+    def planted(p):
+        if os.getpid() != caller:
+            taken.set()
+            time.sleep(60)  # busy at one prime until it is stopped
+            return 0, []
+        taken.wait(30)
+        raise errors.InternalInconsistency("planted fault in the caller")
+
+    monkeypatch.setitem(CHECKS, "planted", planted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    fault = "^planted fault in the caller$"
+    with time_limit(20), pytest.raises(errors.InternalInconsistency, match=fault):
+        run_sweep(60, ["planted"], jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_sweep_takes_the_largest_prime_left(monkeypatch):
+    # so that the last primes any process takes are the cheapest
+    taken = []
+    monkeypatch.setitem(CHECKS, "planted", lambda p: taken.append(p) or (0, []))
+    run_sweep(60, ["planted"], jobs=1)
+    assert taken == primes_between(5, 60)[::-1]
+
+
+# A planted check ends any process but the caller with os._exit(3) once it
+# has taken a prime.  run_sweep, and the CLI through it, must then fail at
+# once and leave no child; a sweep that waits for the lost prime never ends.
+LOST_PROCESS_PROBE = """
+import multiprocessing
+import os
+
+from cubecount import cli, sweep
+from cubecount.errors import CubecountError
+
+caller, taken = os.getpid(), multiprocessing.Event()
+
+
+def planted(p):
+    if os.getpid() != caller:
+        taken.set()
+        os._exit(3)
+    taken.wait(30)  # the started process takes a prime before the caller takes them all
+    return 0, []
+
+
+sweep.CHECKS["planted"] = planted
+os.cpu_count = lambda: 2
+try:
+    sweep.run_sweep(60, ["planted"], jobs=2)
+    print("returned")
+except CubecountError as exc:
+    print(type(exc).__name__, exc)
+print("children", len(multiprocessing.active_children()))
+taken.clear()
+print("exit", cli.main(["sweep", "--max-p", "60", "--checks", "planted", "--jobs", "2"]))
+print("children", len(multiprocessing.active_children()))
+"""
+
+
+@only_under_fork
+def test_lost_process_raises_worker_lost():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", LOST_PROCESS_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lost = "a sweep process ended with exit code 3 before it sent its results"
+    assert proc.stdout.splitlines() == [f"WorkerLost {lost}", "children 0", "exit 2", "children 0"]
+    assert f"error: {lost}" in proc.stderr
+    assert issubclass(errors.WorkerLost, ChildProcessError)
