@@ -10,18 +10,17 @@ usage or input, or an allocation that failed (MemoryError).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
+# lazy modules: only the commands that enumerate read them, and so run them
+from . import oracle, sweep
 from .closedform import vp_closed
 from .cubicres import cubic_class, is_cubic_residue
 from .errors import CubecountError
 from .modarith import Prime, rational_mod
-from .oracle import Domain, RationalMap, jacobsthal_brute, vp_brute
 from .quadform import represent_a3b, represent_l27m
-from .sweep import CHECKS, ROW_FIELDS, run_sweep
 
 __all__ = ["main"]
 
@@ -51,6 +50,8 @@ def _parse_a(text: str, p: int) -> int:
 
 def _emit(records: list[dict], fmt: str, fields: tuple[str, ...] | None = None) -> None:
     if fmt == "csv":
+        import csv  # here, as the default json output never needs it
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         if records:
             writer.writerow(records[0].keys())
@@ -77,7 +78,7 @@ def cmd_eval(args) -> int:
     }
     code = 0
     if args.check:
-        vb = vp_brute(RationalMap.x2_plus_a_over_x(a), p, Domain.NONZERO).v
+        vb = oracle.vp_brute(oracle.RationalMap.x2_plus_a_over_x(a), p, oracle.Domain.NONZERO).v
         rec["v_brute"] = vb
         rec["match"] = got.v == vb
         if not rec["match"]:
@@ -117,7 +118,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--max-p {max_p}: no primes above 3 in range")
     names = None if args.checks is None else [s for s in args.checks.split(",") if s]
     # run_sweep rejects an unknown or repeated name before doing any work
-    report = run_sweep(max_p, names, jobs=args.jobs)
+    report = sweep.run_sweep(max_p, names, jobs=args.jobs)
     summary = {
         "prime_range": list(report.prime_range),
         "primes_checked": report.primes_checked,
@@ -126,7 +127,7 @@ def cmd_sweep(args) -> int:
         "checks": report.config["checks"],
     }
     if args.format == "csv":
-        _emit(report.mismatches, "csv", fields=ROW_FIELDS)
+        _emit(report.mismatches, "csv", fields=sweep.ROW_FIELDS)
         print(json.dumps(summary), file=sys.stderr)
     else:
         _emit(report.mismatches + [summary], "json")
@@ -147,7 +148,7 @@ def _selftest_vectors() -> list[tuple[str, object, object]]:
         vecs.append(
             (
                 f"vp_brute(x^2+{a}/x, p={p})",
-                vp_brute(RationalMap.x2_plus_a_over_x(a), p, Domain.NONZERO).v,
+                oracle.vp_brute(oracle.RationalMap.x2_plus_a_over_x(a), p, oracle.Domain.NONZERO).v,
                 want,
             )
         )
@@ -159,11 +160,11 @@ def _selftest_vectors() -> list[tuple[str, object, object]]:
     vecs.append(
         (
             "vp_brute(x^2+4/x, p=7)",
-            vp_brute(RationalMap.x2_plus_a_over_x(4), 7, Domain.NONZERO).v,
+            oracle.vp_brute(oracle.RationalMap.x2_plus_a_over_x(4), 7, oracle.Domain.NONZERO).v,
             6,
         )
     )
-    vecs.append(("jacobsthal_brute(1, 7)", jacobsthal_brute(1, 7), 3))
+    vecs.append(("jacobsthal_brute(1, 7)", oracle.jacobsthal_brute(1, 7), 3))
     return vecs
 
 
@@ -221,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-p", type=int, required=True, help="sweep bound (>= 5)")
     sp.add_argument(
         "--checks",
-        help="comma-separated subset of: " + ",".join(CHECKS) + " (default: all)",
+        help="comma-separated check names (default: all)",
     )
     sp.add_argument(
         "--jobs",

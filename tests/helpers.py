@@ -14,12 +14,17 @@ from math import isqrt
 import numpy as np
 
 
+class TimeLimitExceeded(Exception):
+    """Raised by time_limit.  Not an OSError (as TimeoutError is), which
+    multiprocessing's Popen.poll would swallow inside Process.join()."""
+
+
 @contextmanager
 def time_limit(seconds: int):
-    """Fail the enclosed block with TimeoutError if it runs too long."""
+    """Fail the enclosed block with TimeLimitExceeded if it runs too long."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise TimeLimitExceeded(f"still running after {seconds} s")
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)

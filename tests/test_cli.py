@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from cubecount import cli
 from cubecount.cli import main
 from cubecount.oracle import CountResult
 
@@ -118,7 +117,7 @@ def test_a_with_a_zero_denominator_names_the_flag(capsys, command, a):
 def test_eval_mismatch_exits_1(capsys, monkeypatch):
     # force a disagreement to exercise the mismatch path
     monkeypatch.setattr(
-        "cubecount.cli.vp_brute", lambda *a, **k: CountResult(0)
+        "cubecount.oracle.vp_brute", lambda *a, **k: CountResult(0)
     )
     code, out, _ = run_cli(capsys, "eval", "--p", "7", "--a", "2", "--check")
     assert code == 1
@@ -130,7 +129,7 @@ def test_eval_allocation_failure_exits_2(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 14.9 GiB")
 
-    monkeypatch.setattr("cubecount.cli.vp_brute", refuse)
+    monkeypatch.setattr("cubecount.oracle.vp_brute", refuse)
     code, out, err = run_cli(capsys, "eval", "--p", "7", "--a", "2", "--check")
     assert code == 2 and out == ""
     assert err.startswith("error:")
@@ -169,7 +168,7 @@ def test_selftest(capsys):
 
 
 def test_selftest_reports_a_failing_vector(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "jacobsthal_brute", lambda m, p: 4)
+    monkeypatch.setattr("cubecount.oracle.jacobsthal_brute", lambda m, p: 4)
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 1
     lines = out.strip().splitlines()

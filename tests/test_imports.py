@@ -2,9 +2,11 @@
 
 numpy is imported inside the functions that build arrays, so
 `import cubecount` and the closed-form commands (eval, represent, classify)
-start without it, while every submodule is still imported eagerly.  Each
-check runs in a new interpreter, because this test process has numpy
-loaded already.  The layering rules are read from the source with ast.
+start without it.  Every submodule is in sys.modules after `import
+cubecount`, but `oracle` and `sweep` run only on first access, so the
+closed-form commands never run them.  Each check runs in a new interpreter,
+because this test process has numpy loaded already.  The layering rules
+are read from the source with ast.
 """
 
 import ast
@@ -25,16 +27,21 @@ P61 = 2305843009213694017
 SUBMODULES = ("_tables", "closedform", "cubicres", "errors", "modarith", "oracle", "quadform", "sweep")
 
 # Runs `python -m cubecount ARGS...` in this process, then reports on stderr
-# its exit status and whether numpy ended up in sys.modules.
+# its exit status, and numpy if it ended up in sys.modules and oracle and
+# sweep if each ran (a lazy module not yet run is of a subclass of
+# ModuleType).
 CLI_PROBE = """
-import runpy, sys
+import runpy, sys, types
 sys.argv = ["cubecount", *sys.argv[1:]]
 try:
     runpy.run_module("cubecount", run_name="__main__", alter_sys=True)
     code = 0
 except SystemExit as exc:
     code = exc.code
-sys.stderr.write("\\nPROBE exit=%s numpy=%d\\n" % (code, "numpy" in sys.modules))
+loaded = ["numpy"] * ("numpy" in sys.modules) + [
+    m for m in ("oracle", "sweep") if type(sys.modules["cubecount." + m]) is types.ModuleType
+]
+sys.stderr.write("\\nPROBE exit=%s loaded=%s\\n" % (code, ",".join(loaded)))
 """
 
 
@@ -45,13 +52,14 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def run_cli(*args: str) -> tuple[int, bool, str]:
-    """(exit status, whether numpy was loaded, stdout) of one CLI process."""
+def run_cli(*args: str) -> tuple[int, set[str], str]:
+    """(exit status, which of numpy, oracle and sweep it loaded or ran,
+    stdout) of one CLI process."""
     proc = run_python(CLI_PROBE, *args)
     tail = proc.stderr.strip().splitlines()[-1]
     assert tail.startswith("PROBE "), proc.stderr
     fields = dict(kv.split("=") for kv in tail.split()[1:])
-    return int(fields["exit"]), fields["numpy"] == "1", proc.stdout
+    return int(fields["exit"]), set(filter(None, fields["loaded"].split(","))), proc.stdout
 
 
 def test_import_loads_every_submodule_but_not_numpy():
@@ -81,24 +89,40 @@ def test_import_loads_every_submodule_but_not_numpy():
     ],
 )
 def test_closed_form_commands_do_not_load_numpy(argv):
-    code, numpy_loaded, out = run_cli(*argv)
+    code, loaded, out = run_cli(*argv)
     assert code == 0
-    assert not numpy_loaded
+    assert loaded == set()  # no numpy, and neither oracle nor sweep ran
     assert str(P61) in out
 
 
 def test_enumeration_commands_still_work():
-    code, numpy_loaded, out = run_cli("eval", "--p", "13", "--a", "2", "--check")
-    assert code == 0 and numpy_loaded  # the probe does see numpy when it loads
+    code, loaded, out = run_cli("eval", "--p", "13", "--a", "2", "--check")
+    assert code == 0 and loaded == {"numpy", "oracle"}  # the probe sees what runs
     assert json.loads(out)["match"] is True
 
     code, _, out = run_cli("selftest")
     assert code == 0 and "selftest: 0 failure(s)" in out
 
-    code, _, out = run_cli("sweep", "--max-p", "60", "--jobs", "1")
-    assert code == 0
+    code, loaded, out = run_cli("sweep", "--max-p", "60", "--jobs", "1")
+    assert code == 0 and loaded == {"numpy", "oracle", "sweep"}
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["mismatches"] == 0 and summary["primes_checked"] == 15
+
+
+def test_star_import_binds_every_exported_name():
+    # oracle's and sweep's names reach the package through its __getattr__
+    code = (
+        "from cubecount import *\n"
+        "import json, cubecount\n"
+        "print(json.dumps({\n"
+        "    'unbound': [n for n in cubecount.__all__ if globals().get(n) is not getattr(cubecount, n)],\n"
+        "    'same': cubecount.vp_brute is cubecount.oracle.vp_brute,\n"
+        "    'undir': sorted(set(cubecount.__all__) - set(dir(cubecount))),\n"
+        "}))\n"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"unbound": [], "same": True, "undir": []}
 
 
 def package_imports(module: str) -> set[str]:

@@ -379,6 +379,32 @@ def test_run_sweep_takes_the_largest_prime_left(monkeypatch):
     assert taken == primes_between(5, 60)[::-1]
 
 
+# A spawned process starts from a fresh interpreter and imports
+# cubecount.sweep by name to find the function it runs.
+SPAWN_PROBE = """
+import multiprocessing
+import os
+
+from cubecount.sweep import run_sweep
+
+multiprocessing.set_start_method("spawn")
+os.cpu_count = lambda: 2
+rep = run_sweep(60, jobs=2)
+print(rep.config["jobs"], rep.pairs_checked, len(rep.mismatches), len(multiprocessing.active_children()))
+"""
+
+
+def test_run_sweep_under_spawn():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN_PROBE],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "1806", "0", "0"]
+
+
 # A planted check ends any process but the caller with os._exit(3) once it
 # has taken a prime.  run_sweep, and the CLI through it, must then fail at
 # once and leave no child; a sweep that waits for the lost prime never ends.
