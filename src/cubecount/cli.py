@@ -19,7 +19,7 @@ from . import oracle, sweep
 from .closedform import vp_closed
 from .cubicres import cubic_class, is_cubic_residue
 from .errors import CubecountError
-from .modarith import Prime, rational_mod
+from .modarith import Prime
 from .quadform import represent_a3b, represent_l27m
 
 __all__ = ["main"]
@@ -42,7 +42,7 @@ def _parse_a(text: str, p: int) -> int:
         raise ValueError(f"--a {text!r}: expected an integer or u/v") from None
     if v % p == 0:
         raise ValueError(f"--a {text!r}: the denominator is 0 mod {p}")
-    a = rational_mod(u, v, p)
+    a = u * pow(v, -1, p) % p
     if a == 0:
         raise ValueError(f"a = {text} reduces to 0 mod {p}")
     return a

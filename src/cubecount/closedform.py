@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ._tables import MAX_ENUM_PRIME, check_int
 from .errors import NonIntegerResult, WrongResidueClass
-from .modarith import _nonzero_residue, checked_prime, inv_mod
+from .modarith import _nonzero_residue, checked_prime
 from .quadform import (
     CubicClass,
     QuadRep,
@@ -104,7 +104,8 @@ def vp_closed(a, p: int) -> VpBreakdown:
         c = (-1 + A/B)/2  ->  (2p - 1 - A + 3B) / 3
         c = (-1 - A/B)/2  ->  (2p - 1 - A - 3B) / 3
 
-    a may be an int or a Fraction and is reduced mod p first.
+    a may be an int or a Fraction and is reduced mod p first; a Fraction
+    whose denominator p divides raises ZeroInverse.
     """
     p = checked_prime(p)
     a = _nonzero_residue(a, p)
@@ -263,7 +264,7 @@ def binom_mod(n: int, k: int, p: int) -> int:
     for i in range(1, k + 1):
         num = num * ((n - k + i) % p) % p
         den = den * i % p
-    return num * inv_mod(den, p) % p
+    return num * pow(den, -1, p) % p
 
 
 def jacobi_check(p: int) -> tuple[bool, bool]:

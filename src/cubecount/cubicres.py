@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 from . import _tables
 from .errors import BadK, SingularPoint, ZeroArgument
-from .modarith import _nonzero_residue, as_residue, checked_prime, inv_mod
+from .modarith import _as_residue, _nonzero_residue, checked_prime
 from .quadform import CubicClass, QuadRep, _require_rep, _unit_class
 
 if TYPE_CHECKING:
@@ -36,7 +36,8 @@ def cubic_class(a: int, p: int, rep: QuadRep) -> CubicClass:
 
     The QuadRep argument fixes which root of -3 is called A/B, hence which
     non-unit class is PLUS; it must be the rep of p.  Only defined for
-    p = 1 (mod 3).  a is reduced by as_residue, so a float is a ValueError.
+    p = 1 (mod 3).  a is an integer or a Fraction, reduced mod p, so a float
+    is a ValueError.
     """
     p = _require_rep(p, rep)
     return _unit_class(_nonzero_residue(a, p), p, rep)
@@ -46,7 +47,7 @@ def is_cubic_residue(a: int, p: int) -> bool:
     """Whether a is a cube mod p.  Every unit is a cube when p = 2 (mod 3).
 
     p is checked with checked_prime: a composite raises CompositeModulus;
-    a is reduced by as_residue.
+    a is an integer or a Fraction, reduced mod p.
     """
     p = checked_prime(p)
     a = _nonzero_residue(a, p)
@@ -60,7 +61,7 @@ def k_map(x: int, p: int) -> int:
     den = (3 * x * x - 3) % p
     if den == 0:
         raise SingularPoint(f"k_map undefined at x = {x} (x^2 = 1 mod {p})")
-    return (x * x * x - 9 * x) % p * inv_mod(den, p) % p
+    return (x * x * x - 9 * x) % p * pow(den, -1, p) % p
 
 
 def t_map(x: int, p: int) -> int:
@@ -71,7 +72,7 @@ def t_map(x: int, p: int) -> int:
     if d == 0:
         raise SingularPoint(f"t_map undefined at x = {x} (x^2 = 1 mod {p})")
     u = (x * x + 3) % p
-    return u * u % p * u % p * inv_mod(d * d, p) % p
+    return u * u % p * u % p * pow(d * d, -1, p) % p
 
 
 def h_set(p: int) -> np.ndarray:
@@ -137,7 +138,7 @@ def in_c0(k, p: int) -> bool:
     k^2 = -3 (mod p) sit outside the test's domain.
     """
     p = _tables.check_enumerable(p)
-    k = as_residue(k, p)
+    k = _as_residue(k, p)
     if (k * k + 3) % p == 0:
         raise BadK(f"k = {k} has k^2 = -3 (mod {p})")
     t = 9 * (k * k + 3) % p

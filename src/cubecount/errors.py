@@ -26,7 +26,7 @@ class CubecountError(Exception):
 
 
 class ZeroInverse(CubecountError, ZeroDivisionError):
-    """Inverse of 0 mod p was requested."""
+    """A rational argument's denominator is 0 mod p, so it has no residue."""
 
 
 class CompositeModulus(CubecountError, ValueError):

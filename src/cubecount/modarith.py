@@ -1,13 +1,14 @@
 """Exact modular arithmetic kernels for word-size primes.
 
-Residues are plain ints in [0, p); every function reduces its arguments, so
-any int is accepted.  Python integers are arbitrary precision, which makes
-the double-width intermediates exact across the whole supported range.
+Residues are plain ints in [0, p); Python integers are arbitrary
+precision, so double-width intermediates are exact across the whole
+supported range.  Every public name here checks its arguments.
 ``Prime`` is the validated boundary type: the CLI constructs one before
 touching the kernels.  The closed forms take a ``Prime`` or any integer
 ``check_int`` accepts and check it with ``checked_prime``, which remembers
 every modulus it has validated, whatever its type, so a loop over one
-modulus runs the primality test once.
+modulus runs the primality test once.  They invert only units, inline
+with pow(x, -1, p), and reduce a rational parameter with _as_residue.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from .errors import CompositeModulus, ZeroArgument, ZeroInverse
 __all__ = [
     "MAX_PRIME",
     "Prime",
-    "as_residue",
     "checked_prime",
-    "inv_mod",
     "is_prime",
     "legendre",
-    "rational_mod",
 ]
 
 #: Moduli at or above 2**62 are rejected at the Prime boundary so that every
@@ -74,30 +72,22 @@ def _checked_int(p: int) -> int:
     return int(Prime(p))
 
 
-def inv_mod(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p; raises ZeroInverse on a = 0 (mod p)."""
-    if a % p == 0:
-        raise ZeroInverse(f"0 has no inverse mod {p}")
-    return pow(a, -1, p)
-
-
-def rational_mod(u: int, v: int, p: int) -> int:
-    """The residue of the rational u/v, i.e. u * v^(-1) mod p."""
-    return u % p * inv_mod(v, p) % p
-
-
-def as_residue(a, p: int) -> int:
-    """a reduced into [0, p): any Fraction as numerator / denominator, else
-    the int _tables.check_int returns (a float is a ValueError, not truncated)."""
+def _as_residue(a, p: int) -> int:
+    """a reduced into [0, p) for a checked prime p: a Fraction as numerator
+    / denominator (ZeroInverse when p divides the denominator), anything
+    else as the int _tables.check_int returns (a float is a ValueError,
+    not truncated)."""
     if type(a) is int:
         return a % p
     if isinstance(a, Fraction):
-        return rational_mod(a.numerator, a.denominator, p)
+        if a.denominator % p == 0:
+            raise ZeroInverse(f"the denominator of {a} is 0 mod {p}")
+        return a.numerator % p * pow(a.denominator, -1, p) % p
     return check_int("a residue", a) % p
 
 
 def _nonzero_residue(a, p: int) -> int:
-    a = as_residue(a, p)
+    a = _as_residue(a, p)
     if a == 0:
         raise ZeroArgument("a must be nonzero mod p")
     return a

@@ -69,10 +69,11 @@ class Domain(Enum):
 class RationalMap:
     """A rational function given by coefficient tuples, ascending powers.
 
-    Coefficients are stored as the ints _tables.check_int returns (a
-    ValueError for anything else) and reduced mod p at evaluation time;
-    leading zeros are permitted and evaluation is plain Horner on the lists
-    as given.
+    numerator and denominator are each a tuple or list of integers (a
+    ValueError naming the argument for anything else); coefficients are
+    stored as the ints _tables.check_int returns and reduced mod p at
+    evaluation time; leading zeros are permitted and evaluation is plain
+    Horner on the lists as given.
     """
 
     numerator: tuple[int, ...]
@@ -80,7 +81,10 @@ class RationalMap:
 
     def __post_init__(self):
         for name in ("numerator", "denominator"):
-            coeffs = tuple(_tables.check_int("coefficient", c) for c in getattr(self, name))
+            coeffs = getattr(self, name)
+            if not isinstance(coeffs, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple or list of integers, got {coeffs!r}")
+            coeffs = tuple(_tables.check_int("coefficient", c) for c in coeffs)
             if not coeffs:
                 raise ValueError("coefficient tuples must be non-empty")
             object.__setattr__(self, name, coeffs)

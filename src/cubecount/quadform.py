@@ -19,7 +19,7 @@ from math import isqrt
 
 from ._tables import check_int
 from .errors import InternalInconsistency, MissingRep, WrongResidueClass
-from .modarith import checked_prime, inv_mod
+from .modarith import checked_prime
 
 __all__ = [
     "CubicClass",
@@ -140,7 +140,7 @@ def class_value_targets(p: int, rep: QuadRep) -> tuple[int, int]:
     -3 mod p because A^2 = p - 3B^2.  For display; root_class needs neither.
     """
     p = _require_rep(p, rep)
-    ab = rep.A % p * inv_mod(rep.B, p) % p
+    ab = rep.A % p * pow(rep.B, -1, p) % p
     inv2 = (p + 1) // 2
     t_plus = (ab - 1) % p * inv2 % p
     t_minus = (-ab - 1) % p * inv2 % p

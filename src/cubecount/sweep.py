@@ -243,7 +243,8 @@ def _work_and_send(names: list[str], ps: list[int], left, conn) -> None:
 
 
 def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
-    """Run the selected checks over every prime 3 < p <= max_p.
+    """Run the selected checks, a list or tuple of CHECKS names (None for
+    all of them), over every prime 3 < p <= max_p.
 
     Each prime is one task.  The calling process works through the tasks with
     jobs - 1 processes it starts, each taking the largest prime left; results
@@ -256,13 +257,13 @@ def run_sweep(max_p: int, checks=None, jobs: int | None = None) -> SweepReport:
     """
     t0 = time.perf_counter()
     max_p = check_int("max_p", max_p)
-    if isinstance(checks, str):
-        raise ValueError(f"checks must be a list of check names, got the string {checks!r}")
+    if not (checks is None or isinstance(checks, (list, tuple))):
+        raise ValueError(f"checks must be a list of check names, got {checks!r}")
     names = list(CHECKS) if checks is None else list(checks)
     if not names:
         raise ValueError(f"no checks selected (choose from {','.join(CHECKS)})")
     for i, name in enumerate(names):
-        if name not in CHECKS:
+        if not (isinstance(name, str) and name in CHECKS):
             raise ValueError(f"unknown check {name!r} (choose from {','.join(CHECKS)})")
         if name in names[:i]:
             raise ValueError(f"check {name!r} is named twice")

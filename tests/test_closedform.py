@@ -29,7 +29,7 @@ from cubecount.errors import (
     WrongResidueClass,
     ZeroArgument,
 )
-from cubecount.modarith import Prime, inv_mod
+from cubecount.modarith import Prime
 from cubecount.oracle import Domain, RationalMap, jacobsthal_all, jacobsthal_brute, vp_brute
 from cubecount.quadform import represent_a3b, represent_l27m
 from cubecount.sweep import run_sweep
@@ -169,7 +169,7 @@ def test_vp_half_x2_bridges_both_routes():
             closed = vp_half_x2(a, p)
             brute = vp_brute(RationalMap.x_plus_a_over_2x2(a), p, Domain.NONZERO).v
             assert closed == brute
-            assert closed == vp_closed(2 * inv_mod(a, p) % p, p).v
+            assert closed == vp_closed(2 * pow(a, -1, p) % p, p).v
 
 
 def test_inversion_identities():
@@ -324,6 +324,12 @@ def test_non_integral_parameters_raise():
         pytest.param(lambda: run_sweep(True), id="run_sweep-bool"),
         pytest.param(lambda: vp_from_jacobsthal(1.5, 7), id="vp_from_jacobsthal-float"),
         pytest.param(lambda: vp_from_jacobsthal(True, 7), id="vp_from_jacobsthal-bool"),
+        pytest.param(lambda: RationalMap(5), id="RationalMap-int-numerator"),
+        pytest.param(lambda: RationalMap((1,), 3), id="RationalMap-int-denominator"),
+        pytest.param(lambda: RationalMap(b"\x01"), id="RationalMap-bytes"),
+        pytest.param(lambda: RationalMap((1,), None), id="RationalMap-None"),
+        pytest.param(lambda: run_sweep(13, 2.5), id="run_sweep-checks-float"),
+        pytest.param(lambda: run_sweep(13, {"jacobi"}), id="run_sweep-checks-set"),
     ],
 )
 def test_scalar_arguments_are_checked(call):

@@ -15,47 +15,26 @@ from cubecount.errors import CompositeModulus, ZeroInverse
 from cubecount.modarith import (
     MAX_PRIME,
     Prime,
-    as_residue,
     checked_prime,
-    inv_mod,
     is_prime,
     legendre,
-    rational_mod,
 )
 from cubecount.quadform import represent_a3b, represent_l27m
 from helpers import miller_rabin_64, primes_upto, sieve_upto, squares_mod, time_limit, trial_factor
 
 
-def test_inv_mod_examples_and_zero():
-    assert inv_mod(3, 7) == 5
-    assert inv_mod(2, 13) == 7
-    assert inv_mod(1, 10007) == 1
-    with pytest.raises(ZeroInverse):
-        inv_mod(0, 7)
-    with pytest.raises(ZeroInverse):
-        inv_mod(21, 7)
-
-
-def test_inv_mod_roundtrip():
-    for p in (5, 7, 13, 101, 1009):
-        for a in range(1, p):
-            assert a * inv_mod(a, p) % p == 1
-
-
 def test_rational_and_fraction_residues():
-    assert rational_mod(1, 2, 7) == 4
-    assert rational_mod(-1, 3, 13) == 4
-    from fractions import Fraction
-
-    assert as_residue(Fraction(1, 2), 7) == 4
-    assert as_residue(-1, 7) == 6
-    assert as_residue(10, 7) == 3
-    assert as_residue(Decimal("10"), 7) == 3
+    # vp_closed reports the residue its parameter reduces to as .a
+    assert vp_closed(Fraction(1, 2), 7).a == 4
+    assert vp_closed(Fraction(-1, 3), 13).a == 4
+    assert vp_closed(-1, 7).a == 6
+    assert vp_closed(10, 7).a == 3
+    assert vp_closed(Decimal("10"), 7).a == 3
     with pytest.raises(ZeroInverse):
-        rational_mod(1, 7, 7)
+        vp_closed(Fraction(1, 7), 7)
     for bad in (2.5, 2.0, True, False, "3", None, Decimal("2.5")):
         with pytest.raises(ValueError, match="must be an integer"):
-            as_residue(bad, 7)
+            vp_closed(bad, 7)
 
 
 def test_legendre_examples():
@@ -214,17 +193,18 @@ def test_checked_prime_validates_each_modulus_once(monkeypatch):
             checked_prime(bad)
 
 
-P_1MOD3 = 10009
-REP_1MOD3 = represent_a3b(P_1MOD3)
+#: primes 1 (mod 3): five digits, and the 61 bits of the CLI examples
+MODULI_1MOD3 = (10009, 2305843009213694017)
+REPS = {p: represent_a3b(p) for p in MODULI_1MOD3}
 
 #: each public function that checks its modulus by checked_prime, as a call at p
 CHECKS_P = {
     "vp_closed": lambda p: vp_closed(5, p),
     "vp_2a": lambda p: vp_2a(5, p),
     "vp_half_x2": lambda p: vp_half_x2(5, p),
-    "jacobsthal_closed": lambda p: jacobsthal_closed(5, p, REP_1MOD3),
+    "jacobsthal_closed": lambda p: jacobsthal_closed(5, p, REPS[int(p)]),
     "von_sterneck_value": von_sterneck_value,
-    "cubic_class": lambda p: cubic_class(5, p, REP_1MOD3),
+    "cubic_class": lambda p: cubic_class(5, p, REPS[int(p)]),
     "is_cubic_residue": lambda p: is_cubic_residue(5, p),
     "legendre": lambda p: legendre(5, p),
     "represent_l27m": represent_l27m,
@@ -234,11 +214,15 @@ CHECKS_P = {
 @pytest.mark.parametrize("name", sorted(CHECKS_P))
 def test_a_numpy_integer_modulus_is_validated_once(name, monkeypatch):
     call = CHECKS_P[name]
-    want = call(P_1MOD3)
     calls = []
     real = modarith.is_prime
     monkeypatch.setattr(modarith, "is_prime", lambda n: calls.append(n) or real(n))
-    modarith._checked_int.cache_clear()
-    for _ in range(50):
-        assert call(np.int64(P_1MOD3)) == want
-    assert calls == [P_1MOD3]
+    for p in MODULI_1MOD3:
+        want = call(p)
+        calls.clear()
+        modarith._checked_int.cache_clear()
+        for _ in range(50):
+            assert call(np.int64(p)) == want
+        # one primality test, one memo entry, for both types
+        assert calls == [p]
+        assert modarith._checked_int.cache_info().misses == 1

@@ -95,7 +95,7 @@ def test_run_sweep_check_subset_and_pair_accounting():
 
 
 def test_run_sweep_unknown_check():
-    for checks in (["nope"], [], ["theorem21", "theorem21"]):
+    for checks in (["nope"], [], ["theorem21", "theorem21"], [["theorem21"]]):
         with pytest.raises(ValueError):
             run_sweep(60, checks=checks)
 
