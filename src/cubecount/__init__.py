@@ -5,20 +5,17 @@ cubic class of the parameter, definitional enumeration oracles to check
 them against, and a sweep harness that compares the two over every prime
 in range.  The package exports the __all__ of each submodule below.
 
-`oracle` and `sweep` are in sys.modules after `import cubecount`, but each
-runs only on the first access to one of its names, so the closed-form
-commands of the CLI never run them.
+`import cubecount` registers every submodule in sys.modules and runs none:
+each runs on the first access to one of its names, so a CLI command runs
+only the modules it calls.  A name read off the package is looked up in
+the submodule whose __all__ lists it, which runs that submodule and the
+ones before it in _EXPORTING, and is then bound here, as a star import
+would bind it: a later patch of the submodule's name is not seen through
+the package.
 """
 
 import importlib.util
 import sys
-
-from . import closedform, cubicres, errors, modarith, quadform
-from .closedform import *  # noqa: F403
-from .cubicres import *  # noqa: F403
-from .errors import *  # noqa: F403
-from .modarith import *  # noqa: F403
-from .quadform import *  # noqa: F403
 
 
 def _lazy(name: str):
@@ -31,20 +28,23 @@ def _lazy(name: str):
     return module
 
 
-oracle, sweep = _lazy("oracle"), _lazy("sweep")
+_tables, closedform, cubicres, errors, modarith, oracle, quadform, sweep = map(
+    _lazy, ("_tables", "closedform", "cubicres", "errors", "modarith", "oracle", "quadform", "sweep")
+)
+
+#: the submodules that export names, each after the ones it imports
+_EXPORTING = (errors, modarith, quadform, cubicres, closedform, oracle, sweep)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # Read off the submodule each time, so a name patched there is the one
-    # the package hands out.
     if name == "__all__":
-        modules = (closedform, cubicres, errors, modarith, oracle, quadform, sweep)
-        return sorted({n for module in modules for n in module.__all__})
-    for module in (oracle, sweep):
+        return sorted({n for module in _EXPORTING for n in module.__all__})
+    for module in _EXPORTING:
         if name in module.__all__:
-            return getattr(module, name)
+            value = globals()[name] = getattr(module, name)
+            return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

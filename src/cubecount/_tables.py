@@ -35,9 +35,8 @@ numpy import until a table is built.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import namedtuple
-from decimal import Decimal
-from fractions import Fraction
 from math import isqrt
 from numbers import Integral
 from typing import TYPE_CHECKING
@@ -147,16 +146,23 @@ def _strong_lucas_prp(n: int) -> bool:
 def check_int(name: str, value) -> int:
     """value as an int: an Integral other than a bool (a numpy integer too),
     a whole Fraction or a finite whole Decimal.  Anything else, a float or a
-    string included, is a ValueError naming the argument, never truncated."""
+    string included, is a ValueError naming the argument, never truncated.
+    Fraction and Decimal are read off sys.modules, by _loaded."""
     if type(value) is int:  # the common case, without the ABC checks
         return value
     if isinstance(value, Integral) and not isinstance(value, bool):
         return int(value)
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if isinstance(value, _loaded("fractions", "Fraction")) and value.denominator == 1:
         return value.numerator
-    if isinstance(value, Decimal) and value.is_finite() and value == value.to_integral_value():
+    if isinstance(value, _loaded("decimal", "Decimal")) and value.is_finite() and value == value.to_integral_value():
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _loaded(module: str, name: str):
+    """module.name if module is loaded, else (), which nothing is an instance
+    of, as nothing is before the module loads: fractions and decimal stay out."""
+    return getattr(sys.modules.get(module), name, ())
 
 
 def check_enumerable(p) -> int:

@@ -14,13 +14,10 @@ import json
 import os
 import sys
 
-# lazy modules: only the commands that enumerate read them, and so run them
-from . import oracle, sweep
-from .closedform import vp_closed
-from .cubicres import cubic_class, is_cubic_residue
+# lazy modules, read at call time: a command runs only the ones it calls
+from . import closedform, cubicres, oracle, quadform, sweep
 from .errors import CubecountError
 from .modarith import Prime
-from .quadform import represent_a3b, represent_l27m
 
 __all__ = ["main"]
 
@@ -67,7 +64,7 @@ def _emit(records: list[dict], fmt: str, fields: tuple[str, ...] | None = None) 
 def cmd_eval(args) -> int:
     p = _parse_p(args.p)
     a = _parse_a(args.a, p)
-    got = vp_closed(a, p)
+    got = closedform.vp_closed(a, p)
     rec = {
         "p": int(p),
         "a_reduced": a,
@@ -89,24 +86,17 @@ def cmd_eval(args) -> int:
 
 def cmd_represent(args) -> int:
     p = _parse_p(args.p)
-    quad = represent_a3b(p)
-    eis = represent_l27m(p)
-    _emit(
-        [{"p": int(p), "A": quad.A, "B": quad.B, "L": eis.L, "M": eis.M}],
-        args.format,
-    )
+    quad, eis = quadform.represent_a3b(p), quadform.represent_l27m(p)
+    _emit([{"p": int(p), "A": quad.A, "B": quad.B, "L": eis.L, "M": eis.M}], args.format)
     return 0
 
 
 def cmd_classify(args) -> int:
     p = _parse_p(args.p)
     a = _parse_a(args.a, p)
-    if p % 3 == 1:
-        tag = cubic_class(a, p, represent_a3b(p)).name
-    else:
-        tag = None
+    tag = cubicres.cubic_class(a, p, quadform.represent_a3b(p)).name if p % 3 == 1 else None
     _emit(
-        [{"p": int(p), "a": a, "class": tag, "is_cubic_residue": is_cubic_residue(a, p)}],
+        [{"p": int(p), "a": a, "class": tag, "is_cubic_residue": cubicres.is_cubic_residue(a, p)}],
         args.format,
     )
     return 0
@@ -144,7 +134,7 @@ def _selftest_vectors() -> list[tuple[str, object, object]]:
     """(description, got, want) rows over the embedded hand-checked values."""
     vecs: list[tuple[str, object, object]] = []
     for p, a, want in ((5, 1, 3), (7, 2, 3), (7, 1, 4)):
-        vecs.append((f"vp_closed(a={a}, p={p})", vp_closed(a, p).v, want))
+        vecs.append((f"vp_closed(a={a}, p={p})", closedform.vp_closed(a, p).v, want))
         vecs.append(
             (
                 f"vp_brute(x^2+{a}/x, p={p})",
@@ -153,8 +143,7 @@ def _selftest_vectors() -> list[tuple[str, object, object]]:
             )
         )
     for p, want_ab, want_lm in ((7, (-2, 1), (1, 1)), (13, (1, 2), (-5, 1))):
-        quad = represent_a3b(p)
-        eis = represent_l27m(p)
+        quad, eis = quadform.represent_a3b(p), quadform.represent_l27m(p)
         vecs.append((f"represent_a3b({p})", (quad.A, quad.B), want_ab))
         vecs.append((f"represent_l27m({p})", (eis.L, eis.M), want_lm))
     vecs.append(

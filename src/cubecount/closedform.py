@@ -153,9 +153,10 @@ def vp_from_jacobsthal(phi: int, p: int) -> int:
 def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
     """Jacobsthal sum at m in closed form.
 
-    -1 for every nonzero m when p = 2 (mod 3).  For p = 1 (mod 3) the rep
-    of p is required (MissingRep without it, or with the rep of another
-    prime) and the value is -1 - t for the cubic class of m:
+    -1 for every nonzero m when p = 2 (mod 3), where no rep exists and a rep
+    other than None is WrongResidueClass.  For p = 1 (mod 3) the rep of p
+    is required (MissingRep without it, or with the rep of another prime)
+    and the value is -1 - t for the cubic class of m:
 
         m cube            ->  -1 - 2A
         m^((p-1)/3) = (-1 + A/B)/2  ->  -1 + A - 3B
@@ -163,9 +164,11 @@ def jacobsthal_closed(m, p: int, rep: QuadRep | None = None) -> int:
     """
     p = checked_prime(p)
     m = _nonzero_residue(m, p)
-    if p % 3 == 2:
-        return _jacobsthal(m, p, None)
-    return _jacobsthal(m, _require_rep(p, rep), rep)
+    if p % 3 == 1:
+        p = _require_rep(p, rep)
+    elif rep is not None:
+        raise WrongResidueClass(f"p = {p} is 2 (mod 3), where no QuadRep exists; got {rep!r}")
+    return _jacobsthal(m, p, rep)
 
 
 def _jacobsthal(m: int, p: int, rep: QuadRep | None) -> int:

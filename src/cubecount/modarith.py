@@ -13,10 +13,9 @@ with pow(x, -1, p), and reduce a rational parameter with _as_residue.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
-from ._tables import check_int, is_prime
+from ._tables import _loaded, check_int, is_prime
 from .errors import CompositeModulus, ZeroArgument, ZeroInverse
 
 __all__ = [
@@ -79,7 +78,7 @@ def _as_residue(a, p: int) -> int:
     not truncated)."""
     if type(a) is int:
         return a % p
-    if isinstance(a, Fraction):
+    if isinstance(a, _loaded("fractions", "Fraction")):
         if a.denominator % p == 0:
             raise ZeroInverse(f"the denominator of {a} is 0 mod {p}")
         return a.numerator % p * pow(a.denominator, -1, p) % p

@@ -190,14 +190,15 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
 
     f is a Laurent polynomial: its denominator is one term c x^j mod p, as
     for every map the package counts (x^2 + a/x, x + a/(2x^2) and the
-    cubics).  A denominator with two or more terms nonzero mod p is a
-    ValueError, and one with none is EmptyDomain, each raised before
-    anything is allocated.  c^(-1) is folded into the numerator, so f(x) =
-    high(x) + low(x^(-1)), through _eval_laurent at every unit: the units
-    are walked a block of BRUTE_BLOCK at a time as x = pw[k] of the cached
-    _tables.unit_powers, with x^(-1) = pw[p-1-k] the same table read
-    backwards.  Over Domain.ALL, x = 0 is one more scalar point, f(0) =
-    num[0] / c, when j = 0; for j > 0 it is a pole.  O(p) time; p bytes
+    cubics).  A denominator with two or more terms nonzero mod p, or a
+    want_bitmap that is no bool, is a ValueError, and a denominator with no
+    such term is EmptyDomain, each raised before anything is allocated.
+    c^(-1) is folded into the numerator, so f(x) = high(x) + low(x^(-1)),
+    through _eval_laurent at every unit: the units are walked a block of
+    BRUTE_BLOCK at a time as x = pw[k] of the cached _tables.unit_powers,
+    with x^(-1) = pw[p-1-k] the same table read backwards.  Over
+    Domain.ALL, x = 0 is one more scalar point, f(0) = num[0] / c, when
+    j = 0; for j > 0 it is a pole.  O(p) time; p bytes
     plus a few blocks on top of the cached table, and a cold prime builds
     and keeps the 4p-byte power table.  The modulus is capped where int64
     products stop being exact (~3.0e9); enumeration is impractical long
@@ -210,6 +211,8 @@ def vp_brute(f: RationalMap, p: int, domain: Domain, want_bitmap: bool = False) 
         raise ValueError(f"f must be a RationalMap, got {f!r}")
     if not isinstance(domain, Domain):
         raise ValueError(f"domain must be a Domain, got {domain!r}")
+    if type(want_bitmap) is not bool:
+        raise ValueError(f"want_bitmap must be a bool, got {want_bitmap!r}")
     num, den = f.numerator, f.denominator
     terms = [j for j, c in enumerate(den) if c % p]
     if not terms:

@@ -3,8 +3,8 @@
 Both exist exactly when p = 1 (mod 3) and are unique once normalised:
 A = 1 (mod 3) pins the sign of A and B is taken positive; likewise
 L = 1 (mod 3) and M > 0.  Everything downstream (cubic residue classes,
-closed-form counts) keys on these sign conventions, so the dataclasses
-validate them on construction.  The cube-root-of-unity convention is
+closed-form counts) keys on these sign conventions, so QuadRep and EisRep
+check them whenever one is built.  The cube-root-of-unity convention is
 fixed here too, side by side: class_value_targets names the two primitive
 roots, root_class maps a root to its CubicClass, and class_trace maps a
 class to the linear form in (A, B) that every closed form uses.
@@ -12,7 +12,7 @@ class to the linear form in (A, B) that every closed form uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 from math import isqrt
@@ -51,43 +51,42 @@ def _require_rep(p, rep: QuadRep) -> int:
     return p
 
 
-def _check_form(rep, xname: str, yname: str, d: int, k: int) -> None:
-    """Store p as checked_prime returns it and x, y as check_int returns
-    them; InternalInconsistency unless x^2 + d y^2 = k p, x = 1 (mod 3), y > 0."""
-    p = checked_prime(rep.p)
-    x, y = check_int(xname, getattr(rep, xname)), check_int(yname, getattr(rep, yname))
-    for name, value in ((xname, x), (yname, y), ("p", p)):
-        object.__setattr__(rep, name, value)
+def _check_form(x, y, p, xname: str, yname: str, d: int, k: int) -> tuple[int, int, int]:
+    """(x, y, p) as check_int and checked_prime return them;
+    InternalInconsistency unless x^2 + d y^2 = k p, x = 1 (mod 3), y > 0."""
+    p = checked_prime(p)
+    x, y = check_int(xname, x), check_int(yname, y)
     if x * x + d * y * y != k * p:
         raise InternalInconsistency(f"{xname}^2 + {d}{yname}^2 = {x * x + d * y * y} != {k * p}")
     if x % 3 != 1 or y <= 0:
         raise InternalInconsistency(f"normalisation violated: {xname}={x}, {yname}={y}")
+    return x, y, p
 
 
-@dataclass(frozen=True)
-class QuadRep:
+class QuadRep(namedtuple("QuadRep", "A B p")):
     """p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0, for a prime p; A, B and
-    p are stored as the ints check_int and checked_prime return."""
+    p are stored as the ints check_int and checked_prime return.  A tuple of
+    its fields: it unpacks, indexes and equals (A, B, p).  Every way to
+    build one checks it, pickle, _make and _replace included."""
 
-    A: int
-    B: int
-    p: int
+    __slots__ = ()
+    # namedtuple's own _make, which _replace calls too, skips __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        _check_form(self, "A", "B", 3, 1)
+    def __new__(cls, A, B, p):
+        return super().__new__(cls, *_check_form(A, B, p, "A", "B", 3, 1))
 
 
-@dataclass(frozen=True)
-class EisRep:
+class EisRep(namedtuple("EisRep", "L M p")):
     """4p = L^2 + 27M^2 with L = 1 (mod 3) and M > 0, for a prime p; L, M and
-    p are stored as the ints check_int and checked_prime return."""
+    p are stored as the ints check_int and checked_prime return.  A tuple of
+    its fields, checked as QuadRep is."""
 
-    L: int
-    M: int
-    p: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self):
-        _check_form(self, "L", "M", 27, 4)
+    def __new__(cls, L, M, p):
+        return super().__new__(cls, *_check_form(L, M, p, "L", "M", 27, 4))
 
 
 def represent_a3b(p: int) -> QuadRep:

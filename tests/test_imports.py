@@ -1,15 +1,17 @@
-"""What a fresh process imports: the closed-form path never loads numpy.
+"""What a fresh process imports and runs: each command runs only what it calls.
 
 numpy is imported inside the functions that build arrays, so
 `import cubecount` and the closed-form commands (eval, represent, classify)
 start without it.  Every submodule is in sys.modules after `import
-cubecount`, but `oracle` and `sweep` run only on first access, so the
-closed-form commands never run them.  Each check runs in a new interpreter,
-because this test process has numpy loaded already.  The layering rules
-are read from the source with ast.
+cubecount`, and each runs only on the first access to one of its names, so
+a closed-form command runs only the modules it calls, and only eval, whose
+VpBreakdown is a dataclass, imports dataclasses.  Each check runs in a new
+interpreter, because this test process has numpy loaded already.  The
+layering rules are read from the source with ast.
 """
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -26,11 +28,14 @@ P61 = 2305843009213694017
 
 SUBMODULES = ("_tables", "closedform", "cubicres", "errors", "modarith", "oracle", "quadform", "sweep")
 
+#: the modules a closed-form command should not need; each is reported only
+#: where a bare interpreter does not import it already
+WATCHED = ("numpy", "dataclasses", "inspect", "decimal", "fractions")
+
 # Runs `python -m cubecount ARGS...` in this process, then reports on stderr
-# its exit status, and numpy if it ended up in sys.modules and oracle and
-# sweep if each ran (a lazy module not yet run is of a subclass of
-# ModuleType).
-CLI_PROBE = """
+# its exit status, the submodules that ran (a lazy module not yet run is of
+# a subclass of ModuleType) and which of WATCHED ended up in sys.modules.
+CLI_PROBE = f"""
 import runpy, sys, types
 sys.argv = ["cubecount", *sys.argv[1:]]
 try:
@@ -38,10 +43,9 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-loaded = ["numpy"] * ("numpy" in sys.modules) + [
-    m for m in ("oracle", "sweep") if type(sys.modules["cubecount." + m]) is types.ModuleType
-]
-sys.stderr.write("\\nPROBE exit=%s loaded=%s\\n" % (code, ",".join(loaded)))
+ran = [m for m in {SUBMODULES!r} if type(sys.modules["cubecount." + m]) is types.ModuleType]
+loaded = [m for m in {WATCHED!r} if m in sys.modules]
+sys.stderr.write("\\nPROBE exit=%s ran=%s loaded=%s\\n" % (code, ",".join(ran), ",".join(loaded)))
 """
 
 
@@ -52,22 +56,39 @@ def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def run_cli(*args: str) -> tuple[int, set[str], str]:
-    """(exit status, which of numpy, oracle and sweep it loaded or ran,
-    stdout) of one CLI process."""
+@functools.lru_cache(maxsize=None)
+def bare_imports() -> frozenset:
+    """The modules of WATCHED that a bare `python -c pass` imports, as the
+    .pth files that site runs may import some."""
+    proc = run_python(f"import sys; print(*(m for m in {WATCHED!r} if m in sys.modules))")
+    return frozenset(proc.stdout.split())
+
+
+def run_cli(*args: str) -> tuple[int, set[str], set[str], str]:
+    """(exit status, the submodules that ran, which of WATCHED it imported
+    that a bare interpreter does not, stdout) of one CLI process."""
     proc = run_python(CLI_PROBE, *args)
     tail = proc.stderr.strip().splitlines()[-1]
     assert tail.startswith("PROBE "), proc.stderr
-    fields = dict(kv.split("=") for kv in tail.split()[1:])
-    return int(fields["exit"]), set(filter(None, fields["loaded"].split(","))), proc.stdout
+    fields = {k: set(filter(None, v.split(","))) for k, v in (kv.split("=") for kv in tail.split()[1:])}
+    (code,) = fields["exit"]
+    return int(code), fields["ran"], fields["loaded"] - bare_imports(), proc.stdout
 
 
 def test_import_loads_every_submodule_but_not_numpy():
+    # every submodule is registered, none has run, and a name read off the
+    # package is bound there, so a second read is a plain attribute read
     code = (
-        "import json, sys, cubecount\n"
+        "import json, sys, types, cubecount\n"
+        "ran = [m for m, mod in sys.modules.items() if m.startswith('cubecount.') and type(mod) is types.ModuleType]\n"
+        "bound = ['vp_closed' in vars(cubecount)]\n"
+        "cubecount.vp_closed\n"
+        "bound.append('vp_closed' in vars(cubecount))\n"
         "print(json.dumps({\n"
         "    'numpy': 'numpy' in sys.modules,\n"
         "    'modules': sorted(m for m in sys.modules if m.startswith('cubecount.')),\n"
+        "    'ran': ran,\n"
+        "    'bound': bound,\n"
         "    'missing': [n for n in cubecount.__all__ if not hasattr(cubecount, n)],\n"
         "}))\n"
     )
@@ -76,7 +97,19 @@ def test_import_loads_every_submodule_but_not_numpy():
     got = json.loads(proc.stdout)
     assert got["numpy"] is False
     assert got["modules"] == [f"cubecount.{m}" for m in SUBMODULES]
+    assert got["ran"] == []
+    assert got["bound"] == [False, True]
     assert got["missing"] == []
+
+
+REPRESENT = {"errors", "_tables", "modarith", "quadform"}
+
+#: command -> (the submodules it runs, which of WATCHED it imports)
+CLOSED_FORM_RUNS = {
+    "eval": (REPRESENT | {"closedform"}, {"dataclasses", "inspect"}),  # VpBreakdown
+    "represent": (REPRESENT, set()),
+    "classify": (REPRESENT | {"cubicres"}, set()),
+}
 
 
 @pytest.mark.parametrize(
@@ -89,22 +122,24 @@ def test_import_loads_every_submodule_but_not_numpy():
     ],
 )
 def test_closed_form_commands_do_not_load_numpy(argv):
-    code, loaded, out = run_cli(*argv)
+    code, ran, imported, out = run_cli(*argv)
+    want_ran, want_imported = CLOSED_FORM_RUNS[argv[0]]
     assert code == 0
-    assert loaded == set()  # no numpy, and neither oracle nor sweep ran
+    assert ran == want_ran  # neither oracle nor sweep
+    assert imported == want_imported - bare_imports()  # no numpy, decimal or fractions
     assert str(P61) in out
 
 
 def test_enumeration_commands_still_work():
-    code, loaded, out = run_cli("eval", "--p", "13", "--a", "2", "--check")
-    assert code == 0 and loaded == {"numpy", "oracle"}  # the probe sees what runs
+    code, ran, imported, out = run_cli("eval", "--p", "13", "--a", "2", "--check")
+    assert code == 0 and "oracle" in ran and "sweep" not in ran and "numpy" in imported
     assert json.loads(out)["match"] is True
 
-    code, _, out = run_cli("selftest")
+    code, _, _, out = run_cli("selftest")
     assert code == 0 and "selftest: 0 failure(s)" in out
 
-    code, loaded, out = run_cli("sweep", "--max-p", "60", "--jobs", "1")
-    assert code == 0 and loaded == {"numpy", "oracle", "sweep"}
+    code, ran, imported, out = run_cli("sweep", "--max-p", "60", "--jobs", "1")
+    assert code == 0 and {"oracle", "sweep"} <= ran and "numpy" in imported
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["mismatches"] == 0 and summary["primes_checked"] == 15
 

@@ -188,6 +188,11 @@ def a_residue(v):
     return REFUSED
 
 
+def a_bool(v):
+    """A bool, and nothing else read for its truth value."""
+    return v if type(v) is bool else REFUSED
+
+
 def coefficients(v):
     """A tuple or list of integer coefficients; GUARDED calls one of them."""
     return tuple(v) if isinstance(v, (tuple, list)) else REFUSED
@@ -214,7 +219,7 @@ RECORD = "a field of a result the package builds; stored as given"
 #: each public parameter that is not a plain integer, by the rule it follows
 EXEMPT = {
     "checked_prime-_prime": "the class Prime, bound at import; no caller passes it",
-    "vp_brute-want_bitmap": "a bool, read for its truth value",
+    "vp_brute-want_bitmap": a_bool,
     "vp_closed-a": a_residue,
     "vp_2a-a": a_residue,
     "vp_half_x2-a": a_residue,
@@ -245,8 +250,9 @@ EXEMPT = {
     },
 }
 
-#: the probe's call of each parameter EXEMPT reads, and of run_sweep's jobs
-#: at max_p = 5, one prime, so that no junk value starts a process
+#: the probe's call of each parameter EXEMPT reads, or a tuple of calls, and
+#: of run_sweep's jobs at max_p = 5, one prime, so that no junk value starts
+#: a process
 PROBE_CALLS = {
     "vp_closed-a": lambda v: vp_closed(v, P_PROBE),
     "vp_2a-a": lambda v: vp_2a(v, P_PROBE),
@@ -258,14 +264,16 @@ PROBE_CALLS = {
     "RationalMap-numerator": lambda v: RationalMap(v).numerator,
     "RationalMap-denominator": lambda v: RationalMap((1,), v).denominator,
     "class_trace-c": lambda v: class_trace(v, 1, 2),
-    "class_value_targets-rep": lambda v: class_value_targets(13, v),
-    "cubic_class-rep": lambda v: cubic_class(2, 13, v),
-    "jacobsthal_closed-rep": lambda v: jacobsthal_closed(2, 13, v),
-    "l_from_ab-rep": lambda v: l_from_ab(13, v),
-    "root_class-rep": lambda v: root_class(3, 13, v),
-    "two_class_is_b_mult3-rep": lambda v: two_class_is_b_mult3(13, v),
+    # a rep at p = 13 and at p = 5, where none exists
+    "class_value_targets-rep": (lambda v: class_value_targets(13, v), lambda v: class_value_targets(5, v)),
+    "cubic_class-rep": (lambda v: cubic_class(2, 13, v), lambda v: cubic_class(2, 5, v)),
+    "jacobsthal_closed-rep": (lambda v: jacobsthal_closed(2, 13, v), lambda v: jacobsthal_closed(2, 5, v)),
+    "l_from_ab-rep": (lambda v: l_from_ab(13, v), lambda v: l_from_ab(5, v)),
+    "root_class-rep": (lambda v: root_class(3, 13, v), lambda v: root_class(3, 5, v)),
+    "two_class_is_b_mult3-rep": (lambda v: two_class_is_b_mult3(13, v), lambda v: two_class_is_b_mult3(5, v)),
     "vp_brute-f": lambda v: vp_brute(v, 7, Domain.ALL).v,
     "vp_brute-domain": lambda v: vp_brute(RationalMap.cubic(0, 0, 0), 7, v).v,
+    "vp_brute-want_bitmap": lambda v: vp_brute(RationalMap.cubic(0, 0, 0), 7, Domain.ALL, v).attained is None,
     "run_sweep-checks": lambda v: run_sweep(5, v).pairs_checked,
     "run_sweep-jobs": lambda v: run_sweep(5, ["jacobi"], jobs=v).config["jobs"],
 }
@@ -344,9 +352,10 @@ def test_every_public_parameter_refuses_junk_or_reads_it_by_its_rule():
             continue
         if rule is None:
             rule = a_modulus if key.endswith("-p") else an_integer
-        call = PROBE_CALLS.get(key) or GUARDED[key][0]
-        if found := _probe(call, rule, public[key].default):
-            misses[key] = found
+        calls = PROBE_CALLS.get(key) or GUARDED[key][0]
+        for call in calls if isinstance(calls, tuple) else (calls,):
+            if found := _probe(call, rule, public[key].default):
+                misses.setdefault(key, []).extend(found)
     assert misses == {}
 
 

@@ -1,6 +1,7 @@
 """Quadratic-form representations: descent output vs exhaustive search."""
 
 import math
+import pickle
 
 import pytest
 
@@ -60,6 +61,37 @@ def test_normalisation_enforced():
         EisRep(1, 2, 13)  # equation fails
     with pytest.raises(CompositeModulus):
         EisRep(13, 1, 49)  # normalised, but 49 = 7^2
+
+
+#: the reps of 13, their repr, and a first field that keeps x = 1 (mod 3)
+#: but breaks the equation
+REPS_13 = [
+    (represent_a3b(13), "QuadRep(A=1, B=2, p=13)", 4),
+    (represent_l27m(13), "EisRep(L=-5, M=1, p=13)", -2),
+]
+
+
+@pytest.mark.parametrize("rep, text, bad", REPS_13, ids=["QuadRep", "EisRep"])
+def test_a_rep_is_a_tuple_that_every_constructor_checks(rep, text, bad):
+    # namedtuple's own _make and _replace skip __new__: _replace(A=5) once
+    # built QuadRep(A=5, B=2, p=13)
+    x, y, p = rep
+    assert repr(rep) == text and rep == (x, y, p) and hash(rep) == hash((x, y, p))
+    assert rep[0] == getattr(rep, rep._fields[0]) == x
+    with pytest.raises(InternalInconsistency):
+        rep._replace(**{rep._fields[0]: bad})
+    with pytest.raises(InternalInconsistency):
+        type(rep)._make((bad, y, p))
+    with pytest.raises(InternalInconsistency):
+        type(rep)._make((x, -y, p))
+    assert type(rep._replace()) is type(rep) and rep._replace() == type(rep)._make(rep) == rep
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(rep, protocol))
+        assert type(back) is type(rep) and back == rep
+    with pytest.raises(AttributeError):
+        setattr(rep, rep._fields[0], bad)
+    with pytest.raises(AttributeError):
+        rep.q = 1
 
 
 def test_matches_exhaustive_search():

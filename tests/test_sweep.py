@@ -379,26 +379,30 @@ def test_run_sweep_takes_the_largest_prime_left(monkeypatch):
     assert taken == primes_between(5, 60)[::-1]
 
 
-# A spawned process starts from a fresh interpreter and imports
-# cubecount.sweep by name to find the function it runs.
+# A spawned process, or one the forkserver starts (Linux's default from
+# Python 3.14), begins from a fresh interpreter, where every submodule of
+# cubecount is lazy, and imports cubecount.sweep by name to find the
+# function it runs.
 SPAWN_PROBE = """
 import multiprocessing
 import os
+import sys
 
 from cubecount.sweep import run_sweep
 
-multiprocessing.set_start_method("spawn")
+multiprocessing.set_start_method(sys.argv[1])
 os.cpu_count = lambda: 2
 rep = run_sweep(60, jobs=2)
 print(rep.config["jobs"], rep.pairs_checked, len(rep.mismatches), len(multiprocessing.active_children()))
 """
 
 
-def test_run_sweep_under_spawn():
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_run_sweep_under_spawn(method):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
-        [sys.executable, "-c", SPAWN_PROBE],
+        [sys.executable, "-c", SPAWN_PROBE, method],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
