@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import sys
 from collections import namedtuple
-from math import isqrt
+from math import gcd, isqrt
 from numbers import Integral
 from typing import TYPE_CHECKING
 
@@ -110,10 +110,17 @@ def _strong_lucas_prp(n: int) -> bool:
     -11, ... with (D/n) = -1, P = 1 and Q = (1 - D)/4.
 
     With n + 1 = d 2^s, d odd, that is U_d = 0 or V_(d 2^r) = 0 (mod n) for
-    some 0 <= r < s.  V_d comes from a ladder on (V_k, V_(k+1), Q^k), three
-    products mod n per bit of d; D is a unit mod n, so 2 V_(d+1) - V_d =
-    D U_d is 0 exactly when U_d is.  A square n has (D/n) = -1 for no D, so
-    it is refused before the search for D.
+    some 0 <= r < s.  No power of Q is tracked: if a and b are the roots of
+    x^2 - x + Q, then a^2/Q and b^2/Q are the roots of x^2 - P' x + 1 with
+    P' = 1/Q - 2, so X_k = V_k(P', 1) = V_(2k)/Q^k, X_(2k) = X_k^2 - 2 and
+    X_(2k+1) = X_k X_(k+1) - P'.  A ladder over the bits of m = (d - 1)/2
+    gives X_m and X_(m+1), two products mod n per bit of d.  Since
+    V_(d+1) = V_d - Q V_(d-1) and D U_d = 2 V_(d+1) - V_d, and D and Q are
+    units mod n, U_d = 0 exactly when X_m = X_(m+1), and V_d = 0 exactly
+    when X_m + X_(m+1) = 0.  For 1 <= r < s, V_(d 2^r) = 0 exactly when
+    X_(d 2^(r-1)) = 0: X_d = X_m X_(m+1) - P', then squared less 2, one
+    product per step.  A square n has (D/n) = -1 for no D, so it is refused
+    before the search for D.
     """
     if isqrt(n) ** 2 == n:
         return False
@@ -123,23 +130,24 @@ def _strong_lucas_prp(n: int) -> bool:
             return False
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
+    if gcd(Q, n) > 1:  # composite; a shared prime divides an earlier D, which had j == 0
+        return False
+    P = (pow(Q, -1, n) - 2) % n  # P' = 1/Q - 2
     s = ((n + 1) & -(n + 1)).bit_length() - 1
     d = (n + 1) >> s
-    v, w, qk = 1, (1 - 2 * Q) % n, Q % n  # V_1, V_2, Q^1
-    for bit in bin(d)[3:]:
+    x, y = 2, P  # X_0, X_1; bin(0) is "0b0", which keeps them
+    for bit in bin(d >> 1)[2:]:
         if bit == "1":  # k -> 2k + 1
-            v, w = (v * w - qk) % n, (w * w - 2 * Q * qk) % n
-            qk = qk * qk * Q % n
+            x, y = (x * y - P) % n, (y * y - 2) % n
         else:  # k -> 2k
-            v, w = (v * v - 2 * qk) % n, (v * w - qk) % n
-            qk = qk * qk % n
-    if v == 0 or (2 * w - v) % n == 0:
+            x, y = (x * x - 2) % n, (x * y - P) % n
+    if x == y or (x + y) % n == 0:
         return True
+    x = (x * y - P) % n  # X_d
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
-        if v == 0:
+        if x == 0:
             return True
-        qk = qk * qk % n
+        x = (x * x - 2) % n
     return False
 
 

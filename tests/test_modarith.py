@@ -118,6 +118,24 @@ def test_strong_lucas_half_matches_sympy():
     assert 0 < sum(got) < len(ns)  # both answers occur
 
 
+def test_strong_lucas_half_matches_sympy_at_word_size():
+    # n up to 2**64: ladders of up to 63 bits, and both ends of the trailing loop
+    primetest = pytest.importorskip("sympy.ntheory.primetest")
+    rng = random.Random(20261021)
+    small = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    odd = [n for n in (rng.randrange(1 << 61, 1 << 64) | 1 for _ in range(10_000)) if all(n % q for q in small)]
+    primes31 = [q for q in (rng.randrange(1 << 30, 1 << 31) | 1 for _ in range(1_000)) if primetest.isprime(q)]
+    products = [rng.choice(primes31) * rng.choice(primes31) for _ in range(300)]
+    # n + 1 a power of two (d = 1, so the ladder runs over m = 0), and
+    # n + 1 = 2 d with d odd (s = 1, a 60-bit ladder and no trailing step)
+    edges = [2**31 - 1, 2**61 - 1, 2305843009213694017]
+    inputs = odd + products + edges
+    got = [_tables._strong_lucas_prp(n) for n in inputs]
+    assert [n for n, g in zip(inputs, got) if g != primetest.is_strong_lucas_prp(n)] == []
+    assert 0 < sum(got[: len(odd)]) < len(odd)  # both answers occur
+    assert got[-3:] == [True, True, True]
+
+
 def test_strong_lucas_pseudoprimes_fail_the_base_2_round():
     # strong Lucas pseudoprimes for Selfridge's parameters (OEIS A217255)
     for n in (5459, 5777, 10877, 16109, 18971):
