@@ -27,9 +27,13 @@ about four times its floor division.  is_prime, the
 package's one primality test (Baillie-PSW, one strong probable-prime
 round to base 2 and one strong Lucas test with no table, for n < 2**64),
 and check_int, its one rule for what an integer argument is, live here so
-that the oracles and modarith can both import them.  numpy is imported on
-first use, inside the table builders, so importing the package costs no
-numpy import until a table is built.
+that the oracles and modarith can both import them.  The test runs in
+char2_if_prime, whose base-2 round takes one pow, 2^(d/3) with
+n - 1 = d 2^r, for an n = 1 (mod 3) and so also returns 2^((n-1)/3):
+modarith.Prime keeps it, and quadform.represent_a3b reads it in place
+of a pow of its own.  is_prime is that answer read as a bool.  numpy is
+imported on first use, inside the table builders, so importing the
+package costs no numpy import until a table is built.
 """
 
 from __future__ import annotations
@@ -61,31 +65,58 @@ def is_prime(n: int) -> bool:
     then Baillie-PSW (a strong probable-prime round to base 2, then
     _strong_lucas_prp).  Exact and deterministic below 2**64, which covers
     every modulus the package accepts; ValueError from there on and for a
-    non-int."""
+    non-int.  The test runs in char2_if_prime; this is its answer as a bool."""
+    return char2_if_prime(n) is not None
+
+
+def char2_if_prime(n: int) -> int | None:
+    """None unless n is prime, decided as is_prime describes; for a prime n,
+    2^((n-1)/3) mod n when n = 1 (mod 3), the cubic character of 2 (1 exactly
+    when 2 is a cube, else a primitive cube root of unity), and 1 for any
+    other prime, where 2 is a cube too.  Above 43**2 the base-2 round
+    computes it on the way (_strong_prp), at no extra pow."""
     n = check_int("n", n)
     if n >= 1 << 64:
         raise ValueError(f"is_prime decides n < 2**64 only, got {n}")
     if n < 2:
-        return False
+        return None
     for q in _SMALL_PRIMES:
         if n % q == 0:
-            return n == q
-    if n < 1849:
-        return True
-    return _strong_prp(n, 2) and _strong_lucas_prp(n)
+            if n != q:
+                return None
+            break
+    else:
+        if n >= 1849:
+            w = _strong_prp(n, 2)
+            return w if w is not None and _strong_lucas_prp(n) else None
+    return pow(2, (n - 1) // 3, n) if n % 3 == 1 else 1
 
 
-def _strong_prp(n: int, a: int) -> bool:
-    """Whether the odd n > a is a strong probable prime to base a."""
+def _strong_prp(n: int, a: int) -> int | None:
+    """None unless the odd n > a is a strong probable prime to base a; else
+    a^((n-1)/3) mod n when 3 divides n - 1, and 1 otherwise, so a unit a
+    never gives a falsy answer.
+
+    With n - 1 = d 2^r, d odd, 3 divides n - 1 exactly when it divides d,
+    and then one pow gives both: y = a^(d/3), y^3 = a^d starts the strong
+    round, and y squared r times is a^((n-1)/3).
+    """
     r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
-    x = pow(a, (n - 1) >> r, n)
+    d = (n - 1) >> r
+    if d % 3:
+        x, w = pow(a, d, n), 1
+    else:
+        w = pow(a, d // 3, n)
+        x = w * w % n * w % n
+        for _ in range(r):
+            w = w * w % n
     if x == 1 or x == n - 1:
-        return True
+        return w
     for _ in range(r - 1):
         x = x * x % n
         if x == n - 1:
-            return True
-    return False
+            return w
+    return None
 
 
 def _jacobi(a: int, n: int) -> int:

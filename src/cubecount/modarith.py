@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._tables import _loaded, check_int, is_prime
+from ._tables import _loaded, char2_if_prime, check_int, is_prime
 from .errors import CompositeModulus, ZeroArgument, ZeroInverse
 
 __all__ = [
@@ -37,7 +37,11 @@ class Prime(int):
 
     p is checked with _tables.check_int, so a float or a bool is a ValueError
     rather than being truncated; a composite raises CompositeModulus, which
-    is a ValueError too.
+    is a ValueError too.  The primality test is _tables.char2_if_prime, and
+    its answer is kept as char2: 2^((p-1)/3) mod p for p = 1 (mod 3), 1
+    exactly when 2 is a cube mod p and otherwise a primitive cube root of
+    unity, which quadform.represent_a3b reads in place of a pow of its own;
+    1 for p = 2 (mod 3).
     """
 
     def __new__(cls, p) -> "Prime":
@@ -46,20 +50,23 @@ class Prime(int):
             raise ValueError(f"modulus must be a prime greater than 3, got {p}")
         if p >= MAX_PRIME:
             raise ValueError(f"modulus must be below 2**62, got {p}")
-        if not is_prime(p):
+        if (char2 := char2_if_prime(p)) is None:
             raise CompositeModulus(f"{p} is not prime")
-        return super().__new__(cls, p)
+        self = super().__new__(cls, p)
+        self.char2 = char2
+        return self
 
 
 def checked_prime(p, _prime: type = Prime) -> int:
     """p as a validated prime modulus, or the error Prime(p) raises.
 
-    A Prime is returned at once.  Any other p, as the int check_int
-    returns, is validated by Prime in one memo of the last few hundred
-    moduli, so a loop over one modulus runs is_prime once, whatever its
-    integer type (int, numpy integer, Fraction, Decimal).  _prime is bound
-    when the module loads, so a wrapper later put over the module name
-    Prime (perfbench's tracer does this) leaves the fast path working.
+    A Prime is returned at once, char2 and all.  Any other p, as the int
+    check_int returns, is validated by Prime in one memo of the last few
+    hundred moduli, so a loop over one modulus runs the primality test
+    once, whatever its integer type (int, numpy integer, Fraction,
+    Decimal), and comes back as that plain int, with no char2.  _prime is
+    bound when the module loads, so a wrapper later put over the module
+    name Prime (perfbench's tracer does this) leaves the fast path working.
     """
     if type(p) is _prime:
         return p

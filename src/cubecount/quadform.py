@@ -90,19 +90,48 @@ class EisRep(namedtuple("EisRep", "L M p")):
 
 
 def represent_a3b(p: int) -> QuadRep:
-    """The unique QuadRep of a prime p = 1 (mod 3).
+    """The unique QuadRep of a prime p = 1 (mod 3), from a memo of the last
+    1024 moduli.
 
-    Cornacchia-style Euclidean descent: the remainder sequence from
-    (p, root), root > p/2 a square root of -3, down to its first term at
-    most sqrt(p), which is |A|; B follows by subtraction.  root = 2w + 1
-    for w = g^((p-1)/3), g the least non-cube (a prime has one below p), as
-    w^2 + w + 1 = 0: 1.5 pows on average, where Tonelli-Shanks takes about
-    five.  p is validated first, so a composite raises CompositeModulus;
-    QuadRep checks the result, so a descent gone wrong is InternalInconsistency.
+    p is validated first, so a composite raises CompositeModulus, and 13.0
+    is refused even while 13 is cached.  A miss runs _descend_a3b, which
+    seeds a Cornacchia-style Euclidean descent with a square root of -3:
+    the remainder sequence from (p, root), root > p/2, down to its first
+    term at most sqrt(p), which is |A|; B follows by subtraction.
+    root = 2w + 1 for a primitive cube root of unity w = g^((p-1)/3), as
+    w^2 + w + 1 = 0, where g is the least non-cube mod p (a prime has one
+    below p).  For a plain int the search takes 1.5 pows on average.  A
+    Prime brings w = 2^((p-1)/3) as its char2, so when 2 is no cube, two
+    times in three, the descent takes no pow at all, and otherwise the
+    search starts at 3.  QuadRep checks the result, so a descent gone wrong
+    is InternalInconsistency.  cache_info and cache_clear are those of
+    _cached_a3b, the same memo without the check.
     """
-    p = _require_1mod3(p)
-    g = 2
-    while (w := pow(g, (p - 1) // 3, p)) == 1:
+    return _cached_a3b(_require_1mod3(p))
+
+
+@lru_cache(maxsize=1024)
+def _cached_a3b(p: int) -> QuadRep:
+    # represent_a3b's memo, for a caller whose p _require_1mod3 has passed.
+    # Hot paths (closed-form counts, sweeps) hit the same p many times; the
+    # bound keeps a stream of fresh primes from growing memory without end.
+    # Keyed as lru_cache keys: a Prime and the int of the same p are two
+    # entries.
+    return _descend_a3b(p)
+
+
+represent_a3b.cache_info = _cached_a3b.cache_info
+represent_a3b.cache_clear = _cached_a3b.cache_clear
+
+
+def _descend_a3b(p: int) -> QuadRep:
+    # represent_a3b's descent, run once per memo miss
+    if (w := getattr(p, "char2", None)) is None:
+        g, w = 2, 1  # a plain int: the search starts at 2
+    else:
+        g = 3  # a Prime's char2 is 2^((p-1)/3): g = 2 is tried already
+    while w == 1:
+        w = pow(g, (p - 1) // 3, p)
         g += 1
     root = (2 * w + 1) % p
     b, c = p, max(root, p - root)
@@ -112,13 +141,6 @@ def represent_a3b(p: int) -> QuadRep:
     return QuadRep(c if c % 3 == 1 else -c, isqrt((p - c * c) // 3), p)
 
 
-@lru_cache(maxsize=1024)
-def _cached_a3b(p: int) -> QuadRep:
-    # Hot paths (closed-form counts, sweeps) hit the same p many times; the
-    # bound keeps a stream of fresh primes from growing memory without end.
-    return represent_a3b(p)
-
-
 def represent_l27m(p: int) -> EisRep:
     """The unique EisRep of a prime p = 1 (mod 3): 4p = L^2 + 27M^2.
 
@@ -126,8 +148,7 @@ def represent_l27m(p: int) -> EisRep:
     -B mod 3 names (see CubicClass).  4p - L^2 is 12B^2 or 3(A +- B)^2, never
     negative, and EisRep checks the M its root gives.
     """
-    # p first: the untyped cache would answer 13.0 from the entry for 13
-    rep = _cached_a3b(_require_1mod3(p))
+    rep = represent_a3b(p)
     L = -_class_trace(tuple(CubicClass)[-rep.B % 3], rep.A, rep.B)
     return EisRep(L, isqrt((4 * rep.p - L * L) // 27), rep.p)
 

@@ -157,6 +157,74 @@ def test_squares_are_refused_at_once():
             assert not _tables._strong_lucas_prp(q * q), q
 
 
+#: the strong pseudoprimes to base 2 below 2 * 10**6 that are 1 (mod 3) and
+#: have no prime factor up to 41: the round that Prime shares with the
+#: cube root of unity passes them all, and only the Lucas half refuses them
+SPSP2_1MOD3 = (
+    42799, 49141, 65281, 80581, 85489, 88357, 90751, 104653, 130561, 196093,
+    220729, 233017, 256999, 271951, 390937, 458989, 489997, 514447, 647089, 741751,
+    838861, 873181, 877099, 916327, 976873, 983401, 1082401, 1145257, 1194649, 1251949,
+    1302451, 1357441, 1373653, 1397419, 1493857, 1507963, 1509709, 1530787, 1730977, 1876393,
+    1969417, 1987021,
+)  # fmt: skip
+
+SMALL_ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_base_2(n: int) -> bool:
+    # the strong probable-prime round to base 2, from its definition:
+    # n - 1 = d 2^s, d odd, and 2^d = 1 or 2^(d 2^r) = -1 for some r < s
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return pow(2, d, n) == 1 or any(pow(2, d << r, n) == n - 1 for r in range(s))
+
+
+def test_prime_refuses_the_base_2_pseudoprimes_1_mod_3():
+    # the list is every such pseudoprime below 2 * 10**5
+    below = [
+        n
+        for n in range(1849, 200_000, 6)
+        if all(n % q for q in SMALL_ODD_PRIMES) and strong_base_2(n) and not miller_rabin_64(n)
+    ]
+    assert below == [n for n in SPSP2_1MOD3 if n < 200_000]
+    assert len(SPSP2_1MOD3) == 42
+    for n in (*SPSP2_1MOD3, 1093**2):
+        assert n % 3 == 1 and all(n % q for q in SMALL_ODD_PRIMES) and trial_factor(n), n
+        assert strong_base_2(n), n
+        # the shared round passes each on, with 2^((n-1)/3) as it would for a prime
+        assert _tables._strong_prp(n, 2) == pow(2, (n - 1) // 3, n), n
+        with pytest.raises(CompositeModulus, match="is not prime"):
+            Prime(n)
+        assert _tables.char2_if_prime(n) is None and not is_prime(n)
+
+
+def test_the_base_2_round_keeps_the_cubic_character_of_2():
+    # is_prime as it was before the round kept the root: trial division to
+    # 41, the base-2 round written out, the strong Lucas half
+    def reference(n):
+        if n < 1849:
+            return n in (2, *SMALL_ODD_PRIMES) or (n > 41 and all(n % q for q in (2, *SMALL_ODD_PRIMES)))
+        return n % 2 == 1 and all(n % q for q in SMALL_ODD_PRIMES) and strong_base_2(n) and _tables._strong_lucas_prp(n)
+
+    rng = random.Random(20261022)
+    odd = [rng.randrange(1 << 40, 1 << 62) | 1 for _ in range(19_000)]
+    small = [rng.randrange(1849) for _ in range(1_000)]
+    # n = 3 2^k + 1, d = 3: the pow is 2^1 and the root takes k squares
+    edges = [7, 13, 97, 193, 769, 12289, 786433, 3221225473, 206158430209, 6597069766657, 2**61 - 1]
+    ones = 0
+    for n in odd + small + edges:
+        w = _tables.char2_if_prime(n)
+        assert (w is not None) == is_prime(n) == reference(n), n
+        if w is None:
+            continue
+        assert w == (pow(2, (n - 1) // 3, n) if n % 3 == 1 else 1), n
+        if n > 3:
+            assert Prime(n).char2 == w, n
+        ones += n % 3 == 1
+    assert ones > 400  # both residue classes of primes occur
+
+
 def test_is_prime_matches_sieve():
     limit = 1_000_000
     flags = sieve_upto(limit)
@@ -194,8 +262,8 @@ def test_checked_prime_validates_each_modulus_once(monkeypatch):
     p = Prime(10007)
     assert checked_prime(p) is p  # a Prime passes without a second test
     calls = []
-    real = modarith.is_prime
-    monkeypatch.setattr(modarith, "is_prime", lambda n: calls.append(n) or real(n))
+    real = modarith.char2_if_prime  # the primality test Prime runs
+    monkeypatch.setattr(modarith, "char2_if_prime", lambda n: calls.append(n) or real(n))
     modarith._checked_int.cache_clear()
     for _ in range(100):
         # every accepted integer type shares the one memo entry of 10009
@@ -233,8 +301,8 @@ CHECKS_P = {
 def test_a_numpy_integer_modulus_is_validated_once(name, monkeypatch):
     call = CHECKS_P[name]
     calls = []
-    real = modarith.is_prime
-    monkeypatch.setattr(modarith, "is_prime", lambda n: calls.append(n) or real(n))
+    real = modarith.char2_if_prime  # the primality test Prime runs
+    monkeypatch.setattr(modarith, "char2_if_prime", lambda n: calls.append(n) or real(n))
     for p in MODULI_1MOD3:
         want = call(p)
         calls.clear()

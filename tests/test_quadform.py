@@ -2,12 +2,14 @@
 
 import math
 import pickle
+import random
 
 import pytest
 
 from cubecount import quadform
 from cubecount.closedform import jacobsthal_closed
 from cubecount.cubicres import cubic_class
+from cubecount.modarith import Prime, is_prime
 from cubecount.errors import (
     CompositeModulus,
     InternalInconsistency,
@@ -161,12 +163,75 @@ def test_rep_cache_is_bounded():
     assert quadform._cached_a3b.cache_parameters()["maxsize"] is not None
 
 
+def test_represent_a3b_is_a_bounded_memo_that_checks_p_first(monkeypatch):
+    calls = []
+    descent = quadform._descend_a3b
+    monkeypatch.setattr(quadform, "_descend_a3b", lambda p: calls.append(p) or descent(p))
+    represent_a3b.cache_clear()
+    rep = represent_a3b(13)
+    assert represent_a3b(13) is rep and calls == [13]  # a second call runs no descent
+    # 13 is cached, and still p is checked before the memo is read
+    with pytest.raises(ValueError, match="must be an integer"):
+        represent_a3b(13.0)
+    with pytest.raises(CompositeModulus):
+        represent_a3b(49)
+    assert calls == [13]
+    info = represent_a3b.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 1024)
+    # a stream of more fresh primes than it holds keeps 1024
+    stream = primes_1mod3(20_000)
+    assert len(stream) > 1024
+    for p in stream:
+        represent_a3b(p)
+    assert represent_a3b.cache_info().currsize == 1024
+    assert len(calls) == len(stream)  # one descent each, 13 counted when it was cached
+    represent_a3b.cache_clear()
+
+
+def primes_1mod3_61_bits(seed: int, count: int) -> list[int]:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if is_prime(n := 6 * rng.randrange((1 << 60) // 6 + 1, (1 << 61) // 6) + 1):
+            out.append(n)
+    return out
+
+
+def test_a_prime_seeds_the_descent_with_its_char2():
+    # the same rep from Prime.char2 as from the search that a plain int starts
+    for p in primes_1mod3_61_bits(20261023, 2_000):
+        represent_a3b.cache_clear()
+        want = represent_a3b(p)
+        represent_a3b.cache_clear()
+        assert represent_a3b(Prime(p)) == want, p
+    represent_a3b.cache_clear()
+
+
+def test_a_prime_whose_2_is_no_cube_costs_the_descent_no_pow(monkeypatch):
+    bases = []
+    monkeypatch.setattr(quadform, "pow", lambda g, e, p: bases.append(g) or pow(g, e, p), raising=False)
+    primes = primes_1mod3_61_bits(20261024, 40)
+    cube = [p for p in primes if pow(2, (p - 1) // 3, p) == 1]
+    assert cube and len(cube) < len(primes)
+    for p in primes:
+        represent_a3b.cache_clear()
+        bases.clear()
+        represent_a3b(Prime(p))
+        # 2 is a cube: the search starts at 3, the Prime has already tried 2
+        assert bases[:1] == ([3] if p in cube else []), p
+        represent_a3b.cache_clear()
+        bases.clear()
+        represent_a3b(p)
+        assert bases[:1] == [2], p
+    represent_a3b.cache_clear()
+
+
 def test_represent_l27m_reuses_the_cached_rep(monkeypatch):
     # one descent per prime 1 (mod 3) of a sweep; represent_l27m used to
     # redo it on every call, 282 descents for these 94 primes
     calls = []
-    descent = quadform.represent_a3b
-    monkeypatch.setattr(quadform, "represent_a3b", lambda p: calls.append(p) or descent(p))
+    descent = quadform._descend_a3b
+    monkeypatch.setattr(quadform, "_descend_a3b", lambda p: calls.append(p) or descent(p))
     quadform._cached_a3b.cache_clear()
     report = run_sweep(1200, ["cor23", "jacobi"], jobs=1)
     assert report.mismatches == []
@@ -191,7 +256,9 @@ def test_unchecked_trace_equals_class_trace():
 
 
 def test_a_failed_descent_raises_from_quadrep(monkeypatch):
-    # QuadRep is the descent's only check: a wrong B must not come back
+    # QuadRep is the descent's only check: a wrong B must not come back;
+    # the memo is emptied first, or a cached 13 would never reach the descent
+    represent_a3b.cache_clear()
     monkeypatch.setattr(quadform, "isqrt", lambda n: math.isqrt(n) + 1)
     with pytest.raises(InternalInconsistency, match=r"A\^2 \+ 3B\^2 = "):
         represent_a3b(13)
