@@ -30,10 +30,10 @@ and check_int, its one rule for what an integer argument is, live here so
 that the oracles and modarith can both import them.  The test runs in
 char2_if_prime, whose base-2 round takes one pow, 2^(d/3) with
 n - 1 = d 2^r, for an n = 1 (mod 3) and so also returns 2^((n-1)/3):
-modarith.Prime keeps it, and quadform.represent_a3b reads it in place
-of a pow of its own.  is_prime is that answer read as a bool.  numpy is
-imported on first use, inside the table builders, so importing the
-package costs no numpy import until a table is built.
+modarith.Prime, the form of every checked modulus, keeps it to seed
+quadform.represent_a3b's descent.  is_prime is that answer read as a
+bool.  numpy is imported on first use, inside the table builders, so
+importing the package costs no numpy import until a table is built.
 """
 
 from __future__ import annotations

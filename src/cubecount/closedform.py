@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ._tables import MAX_ENUM_PRIME, check_int
 from .errors import NonIntegerResult, WrongResidueClass
-from .modarith import _nonzero_residue, checked_prime
+from .modarith import Prime, _nonzero_residue, checked_prime
 from .quadform import (
     CubicClass,
     QuadRep,
@@ -72,7 +72,7 @@ class VpBreakdown:
 
     v: int
     path_case: str
-    p: int
+    p: Prime
     a: int
     A: int | None = None
     B: int | None = None

@@ -3,9 +3,9 @@
 Residues are plain ints in [0, p); Python integers are arbitrary
 precision, so double-width intermediates are exact across the whole
 supported range.  Every public name here checks its arguments.
-``Prime`` is the validated boundary type: the CLI constructs one before
-touching the kernels.  The closed forms take a ``Prime`` or any integer
-``check_int`` accepts and check it with ``checked_prime``, which remembers
+``Prime`` is the one form of a validated modulus.  The closed forms take a
+``Prime`` or any integer ``check_int`` accepts and check it with
+``checked_prime``, which returns the ``Prime`` for either and remembers
 every modulus it has validated, whatever its type, so a loop over one
 modulus runs the primality test once.  They invert only units, inline
 with pow(x, -1, p), and reduce a rational parameter with _as_residue.
@@ -40,8 +40,8 @@ class Prime(int):
     is a ValueError too.  The primality test is _tables.char2_if_prime, and
     its answer is kept as char2: 2^((p-1)/3) mod p for p = 1 (mod 3), 1
     exactly when 2 is a cube mod p and otherwise a primitive cube root of
-    unity, which quadform.represent_a3b reads in place of a pow of its own;
-    1 for p = 2 (mod 3).
+    unity, which seeds quadform.represent_a3b's descent; 1 for p = 2
+    (mod 3).  A copy or an unpickled one is Prime(int(p)), tested afresh.
     """
 
     def __new__(cls, p) -> "Prime":
@@ -56,17 +56,21 @@ class Prime(int):
         self.char2 = char2
         return self
 
+    # int's own reduction skips __new__ at protocols 0 and 1, and at 2 and up
+    # reads char2 from the stream
+    __reduce__ = lambda self: (type(self), (int(self),))
 
-def checked_prime(p, _prime: type = Prime) -> int:
-    """p as a validated prime modulus, or the error Prime(p) raises.
 
-    A Prime is returned at once, char2 and all.  Any other p, as the int
-    check_int returns, is validated by Prime in one memo of the last few
-    hundred moduli, so a loop over one modulus runs the primality test
-    once, whatever its integer type (int, numpy integer, Fraction,
-    Decimal), and comes back as that plain int, with no char2.  _prime is
-    bound when the module loads, so a wrapper later put over the module
-    name Prime (perfbench's tracer does this) leaves the fast path working.
+def checked_prime(p, _prime: type = Prime) -> Prime:
+    """p as a validated Prime, or the error Prime(p) raises.
+
+    A Prime is returned at once.  Any other p, as the int check_int
+    returns, is validated by Prime in one memo of the last few hundred
+    moduli, so a loop over one modulus runs the primality test once,
+    whatever its integer type (int, numpy integer, Fraction, Decimal), and
+    every type gets the one Prime of the memo.  _prime is bound when the
+    module loads, so a wrapper later put over the module name Prime
+    (perfbench's tracer does this) leaves the fast path working.
     """
     if type(p) is _prime:
         return p
@@ -74,8 +78,8 @@ def checked_prime(p, _prime: type = Prime) -> int:
 
 
 @lru_cache(maxsize=256)
-def _checked_int(p: int) -> int:
-    return int(Prime(p))
+def _checked_int(p: int) -> Prime:
+    return Prime(p)
 
 
 def _as_residue(a, p: int) -> int:

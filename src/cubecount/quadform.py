@@ -19,7 +19,7 @@ from math import isqrt
 
 from ._tables import check_int
 from .errors import InternalInconsistency, MissingRep, WrongResidueClass
-from .modarith import checked_prime
+from .modarith import Prime, checked_prime
 
 __all__ = [
     "CubicClass",
@@ -35,14 +35,14 @@ __all__ = [
 ]
 
 
-def _require_1mod3(p) -> int:
+def _require_1mod3(p) -> Prime:
     """p as checked_prime returns it; WrongResidueClass unless p = 1 (mod 3)."""
     if (p := checked_prime(p)) % 3 != 1:
         raise WrongResidueClass(f"p = {p} is not 1 (mod 3)")
     return p
 
 
-def _require_rep(p, rep: QuadRep) -> int:
+def _require_rep(p, rep: QuadRep) -> Prime:
     """p as _require_1mod3 returns it, once rep is the QuadRep of p itself:
     MissingRep for None, for anything that is no QuadRep, for another p's rep."""
     p = _require_1mod3(p)
@@ -64,10 +64,11 @@ def _check_form(x, y, p, xname: str, yname: str, d: int, k: int) -> tuple[int, i
 
 
 class QuadRep(namedtuple("QuadRep", "A B p")):
-    """p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0, for a prime p; A, B and
-    p are stored as the ints check_int and checked_prime return.  A tuple of
-    its fields: it unpacks, indexes and equals (A, B, p).  Every way to
-    build one checks it, pickle, _make and _replace included."""
+    """p = A^2 + 3B^2 with A = 1 (mod 3) and B > 0, for a prime p; A and B
+    are stored as the ints check_int returns, p as the Prime checked_prime
+    returns.  A tuple of its fields: it unpacks, indexes and equals
+    (A, B, p).  Every way to build one checks it, pickle, _make and
+    _replace included."""
 
     __slots__ = ()
     # namedtuple's own _make, which _replace calls too, skips __new__
@@ -78,9 +79,9 @@ class QuadRep(namedtuple("QuadRep", "A B p")):
 
 
 class EisRep(namedtuple("EisRep", "L M p")):
-    """4p = L^2 + 27M^2 with L = 1 (mod 3) and M > 0, for a prime p; L, M and
-    p are stored as the ints check_int and checked_prime return.  A tuple of
-    its fields, checked as QuadRep is."""
+    """4p = L^2 + 27M^2 with L = 1 (mod 3) and M > 0, for a prime p; L and M
+    are stored as the ints check_int returns, p as the Prime checked_prime
+    returns.  A tuple of its fields, checked as QuadRep is."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -93,30 +94,27 @@ def represent_a3b(p: int) -> QuadRep:
     """The unique QuadRep of a prime p = 1 (mod 3), from a memo of the last
     1024 moduli.
 
-    p is validated first, so a composite raises CompositeModulus, and 13.0
-    is refused even while 13 is cached.  A miss runs _descend_a3b, which
-    seeds a Cornacchia-style Euclidean descent with a square root of -3:
-    the remainder sequence from (p, root), root > p/2, down to its first
-    term at most sqrt(p), which is |A|; B follows by subtraction.
-    root = 2w + 1 for a primitive cube root of unity w = g^((p-1)/3), as
-    w^2 + w + 1 = 0, where g is the least non-cube mod p (a prime has one
-    below p).  For a plain int the search takes 1.5 pows on average.  A
-    Prime brings w = 2^((p-1)/3) as its char2, so when 2 is no cube, two
-    times in three, the descent takes no pow at all, and otherwise the
-    search starts at 3.  QuadRep checks the result, so a descent gone wrong
-    is InternalInconsistency.  cache_info and cache_clear are those of
-    _cached_a3b, the same memo without the check.
+    p is validated by checked_prime first, so a composite raises
+    CompositeModulus, 13.0 is refused even while 13 is cached, and each p
+    is one entry whatever its integer type.  A miss runs _descend_a3b: a
+    Cornacchia-style Euclidean descent from a square root of -3, the
+    remainder sequence from (p, root), root > p/2, down to its first term
+    at most sqrt(p), which is |A|; B follows by subtraction.  root = 2w + 1
+    for a primitive cube root of unity w, as w^2 + w + 1 = 0: the Prime's
+    char2, 2^((p-1)/3), when 2 is no cube (two times in three, so the
+    descent takes no pow), else g^((p-1)/3) for the least non-cube g,
+    searched from 3 (a prime has one below p).  QuadRep checks the result,
+    so a descent gone wrong is InternalInconsistency.  cache_info and
+    cache_clear are those of _cached_a3b, the same memo without the check.
     """
     return _cached_a3b(_require_1mod3(p))
 
 
 @lru_cache(maxsize=1024)
-def _cached_a3b(p: int) -> QuadRep:
-    # represent_a3b's memo, for a caller whose p _require_1mod3 has passed.
-    # Hot paths (closed-form counts, sweeps) hit the same p many times; the
+def _cached_a3b(p: Prime) -> QuadRep:
+    # represent_a3b's memo, keyed on the Prime _require_1mod3 returns: hot
+    # paths (closed-form counts, sweeps) hit the same p many times, and the
     # bound keeps a stream of fresh primes from growing memory without end.
-    # Keyed as lru_cache keys: a Prime and the int of the same p are two
-    # entries.
     return _descend_a3b(p)
 
 
@@ -124,12 +122,9 @@ represent_a3b.cache_info = _cached_a3b.cache_info
 represent_a3b.cache_clear = _cached_a3b.cache_clear
 
 
-def _descend_a3b(p: int) -> QuadRep:
+def _descend_a3b(p: Prime) -> QuadRep:
     # represent_a3b's descent, run once per memo miss
-    if (w := getattr(p, "char2", None)) is None:
-        g, w = 2, 1  # a plain int: the search starts at 2
-    else:
-        g = 3  # a Prime's char2 is 2^((p-1)/3): g = 2 is tried already
+    g, w = 3, p.char2  # char2 is 2^((p-1)/3): g = 2 is tried already
     while w == 1:
         w = pow(g, (p - 1) // 3, p)
         g += 1

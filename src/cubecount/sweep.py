@@ -12,11 +12,11 @@ The checks on the x^2 + a/x family read one table of counts per prime
 (family_counts), the Jacobsthal check one vector of sums (jacobsthal_all)
 and the t-map check one vector of preimage counts (t_preimage_counts).
 The closed form is evaluated per parameter, but theorem21, lemma23 and
-cor21 take p's rep once per prime: at a = 1 they compare the public
-function (vp_closed, jacobsthal_closed, vp_2a), which checks p, at every
-other a its kernel (_vp, _jacobsthal, _vp_2a), which is the same arithmetic
-without the argument checks and the result object.  cor21's cube test
-stays the public is_cubic_residue at every a, independent of vp_2a.
+cor21 take p's rep once per prime (represent_a3b): at a = 1 they compare
+the public function (vp_closed, jacobsthal_closed, vp_2a), which checks p,
+at every other a its kernel (_vp, _jacobsthal, _vp_2a), the same arithmetic
+at the sweep's plain-int p without the checks and the result object.  cor21's
+cube test stays the public is_cubic_residue at every a, independent of vp_2a.
 run_sweep checks primes in the calling process and in jobs - 1 processes it
 starts, each taking the largest prime left until none is; rows are merged
 in ascending-p order, so they do not depend on how the work was split.
@@ -47,7 +47,7 @@ from .closedform import (
 from .cubicres import is_cubic_residue, t_preimage_counts
 from .errors import WorkerLost
 from .oracle import Domain, RationalMap, family_counts, jacobsthal_all, vp_brute
-from .quadform import _cached_a3b, represent_l27m
+from .quadform import represent_a3b, represent_l27m
 
 __all__ = ["CHECKS", "ROW_FIELDS", "SweepReport", "primes_between", "run_sweep"]
 
@@ -99,7 +99,7 @@ def _compare(check: str, p: int, triples) -> tuple[int, list[dict]]:
 
 def check_theorem21(p: int):
     """Main count: vp_closed vs enumeration of x^2 + a/x, all nonzero a."""
-    rep = _cached_a3b(p) if p % 3 == 1 else None
+    rep = represent_a3b(p) if p % 3 == 1 else None
     v1 = vp_closed(1, p).v
     counts = family_counts(p).tolist()
     triples = ((a, _vp(a, p, rep) if a > 1 else v1, counts[a]) for a in range(1, p))
@@ -116,7 +116,7 @@ def check_lemma22(p: int):
 
 def check_lemma23(p: int):
     """Jacobsthal sums: closed form vs the definitional sum, all nonzero m."""
-    rep = _cached_a3b(p) if p % 3 == 1 else None
+    rep = represent_a3b(p) if p % 3 == 1 else None
     j1 = jacobsthal_closed(1, p, rep)
     sums = jacobsthal_all(p).tolist()
     triples = ((m, _jacobsthal(m, p, rep) if m > 1 else j1, sums[m]) for m in range(1, p))
@@ -127,7 +127,7 @@ def check_cor21(p: int):
     """Companion family x^2 + 2a/x vs vp_2a, plus the cube criterion."""
     if p % 3 != 1:
         return 0, []
-    rep = _cached_a3b(p)
+    rep = represent_a3b(p)
     top = vp_2a(1, p).v  # the count of the cube class, 1 being a cube
     counts = family_counts(p).tolist()
 
@@ -144,7 +144,7 @@ def check_cor23(p: int):
     """Recover L and A from enumerated counts and compare with the forms."""
     if p % 3 != 1:
         return 0, []
-    A, L = _cached_a3b(p).A, represent_l27m(p).L
+    A, L = represent_a3b(p).A, represent_l27m(p).L
     counts = family_counts(p)
     v1h = vp_brute(RationalMap.x_plus_a_over_2x2(2), p, Domain.NONZERO).v
     triples = [
@@ -159,7 +159,7 @@ def check_cor24(p: int):
     """The a = 4 specialisation: formula vs both family enumerations."""
     if p % 3 != 1:
         return 0, []
-    want = _cor24_value(p, _cached_a3b(p))
+    want = _cor24_value(p, represent_a3b(p))
     c1 = int(family_counts(p)[4 % p])
     c2 = vp_brute(RationalMap.x_plus_a_over_2x2(4), p, Domain.NONZERO).v
     return _compare("cor24", p, [("x^2+4/x", want, c1), ("x+2/x^2", want, c2)])

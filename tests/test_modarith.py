@@ -1,6 +1,7 @@
 """Scalar arithmetic kernels: exact values plus definitional cross-checks."""
 
 import math
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -258,6 +259,25 @@ def test_prime_raises_composite_modulus():
             Prime(n)
 
 
+def test_a_prime_is_tested_again_when_unpickled(monkeypatch):
+    # int's own reduction skipped Prime.__new__ at protocols 0 and 1, and
+    # at 2 and up read char2 from the stream
+    calls = []
+    real = modarith.char2_if_prime  # the primality test Prime runs
+    monkeypatch.setattr(modarith, "char2_if_prime", lambda n: calls.append(n) or real(n))
+    p = Prime(10009)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        calls.clear()
+        back = pickle.loads(pickle.dumps(p, protocol))
+        assert type(back) is Prime and back == p and back.char2 == p.char2
+        assert calls == [10009], protocol
+    # a stream edited to a composite is refused, not loaded as a Prime
+    forged = pickle.dumps(Prime(13), 0).replace(b"I13\n", b"I15\n")
+    assert forged != pickle.dumps(Prime(13), 0)
+    with pytest.raises(CompositeModulus):
+        pickle.loads(forged)
+
+
 def test_checked_prime_validates_each_modulus_once(monkeypatch):
     p = Prime(10007)
     assert checked_prime(p) is p  # a Prime passes without a second test
@@ -265,11 +285,12 @@ def test_checked_prime_validates_each_modulus_once(monkeypatch):
     real = modarith.char2_if_prime  # the primality test Prime runs
     monkeypatch.setattr(modarith, "char2_if_prime", lambda n: calls.append(n) or real(n))
     modarith._checked_int.cache_clear()
+    first = checked_prime(10009)
+    assert type(first) is Prime and first.char2 == pow(2, (10009 - 1) // 3, 10009)
     for _ in range(100):
         # every accepted integer type shares the one memo entry of 10009
         for n in (10009, np.int64(10009), Fraction(10009), Decimal(10009)):
-            q = checked_prime(n)
-            assert q == 10009 and type(q) is int
+            assert checked_prime(n) is first
     assert calls == [10009]
     for bad in (35, 1729):
         with pytest.raises(CompositeModulus, match="is not prime"):

@@ -3,7 +3,10 @@
 import math
 import pickle
 import random
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cubecount import quadform
@@ -170,6 +173,9 @@ def test_represent_a3b_is_a_bounded_memo_that_checks_p_first(monkeypatch):
     represent_a3b.cache_clear()
     rep = represent_a3b(13)
     assert represent_a3b(13) is rep and calls == [13]  # a second call runs no descent
+    # one entry for 13 whatever its integer type: a Prime and the int 13 were two
+    for p in (Prime(13), np.int64(13), Fraction(13), Decimal(13)):
+        assert represent_a3b(p) is rep
     # 13 is cached, and still p is checked before the memo is read
     with pytest.raises(ValueError, match="must be an integer"):
         represent_a3b(13.0)
@@ -177,7 +183,7 @@ def test_represent_a3b_is_a_bounded_memo_that_checks_p_first(monkeypatch):
         represent_a3b(49)
     assert calls == [13]
     info = represent_a3b.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (1, 1, 1024)
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (5, 1, 1024, 1)
     # a stream of more fresh primes than it holds keeps 1024
     stream = primes_1mod3(20_000)
     assert len(stream) > 1024
@@ -198,12 +204,11 @@ def primes_1mod3_61_bits(seed: int, count: int) -> list[int]:
 
 
 def test_a_prime_seeds_the_descent_with_its_char2():
-    # the same rep from Prime.char2 as from the search that a plain int starts
+    # the rep seeded by Prime.char2 against an independent Cornacchia solver
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
     for p in primes_1mod3_61_bits(20261023, 2_000):
-        represent_a3b.cache_clear()
-        want = represent_a3b(p)
-        represent_a3b.cache_clear()
-        assert represent_a3b(Prime(p)) == want, p
+        ((x, y),) = diophantine.cornacchia(1, 3, p)
+        assert represent_a3b(p) == (x if x % 3 == 1 else -x, y, p), p
     represent_a3b.cache_clear()
 
 
@@ -214,15 +219,15 @@ def test_a_prime_whose_2_is_no_cube_costs_the_descent_no_pow(monkeypatch):
     cube = [p for p in primes if pow(2, (p - 1) // 3, p) == 1]
     assert cube and len(cube) < len(primes)
     for p in primes:
-        represent_a3b.cache_clear()
-        bases.clear()
-        represent_a3b(Prime(p))
+        runs = []
+        for q in (Prime(p), p):
+            represent_a3b.cache_clear()
+            bases.clear()
+            represent_a3b(q)
+            runs.append(bases[:])
         # 2 is a cube: the search starts at 3, the Prime has already tried 2
-        assert bases[:1] == ([3] if p in cube else []), p
-        represent_a3b.cache_clear()
-        bases.clear()
-        represent_a3b(p)
-        assert bases[:1] == [2], p
+        assert runs[0][:1] == ([3] if p in cube else []), p
+        assert runs[1] == runs[0], p  # an int is checked into the same Prime
     represent_a3b.cache_clear()
 
 
