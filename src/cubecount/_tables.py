@@ -252,10 +252,10 @@ def per_prime(build):
 
     The returned function keeps the table of the last prime only: every
     caller finishes one prime before it starts the next, so a second slot
-    would never be read.  A plain int equal to the cached prime is a hit at
-    once; any other p is checked with check_enumerable first, and the slot
-    is keyed on the int that returns, so 13 and np.int64(13) share one
-    table and 13.0 is refused even while 13 is cached.  A miss drops the
+    would never be read.  An int equal to the cached prime, a Prime too, is
+    a hit at once; any other p is checked with check_enumerable first, and
+    the slot is keyed on the int that returns, so 13 and np.int64(13) share
+    one table and 13.0 is refused even while 13 is cached.  A miss drops the
     old table before it builds the new one, so a switch of primes never
     holds both.  The table is marked read-only.  cache_info, cache_clear
     and cache_parameters work as on functools.lru_cache(maxsize=1).
@@ -266,7 +266,7 @@ def per_prime(build):
     @functools.wraps(build)
     def cached(p: int) -> np.ndarray:
         nonlocal key, table, hits, misses
-        if type(p) is not int or p != key:
+        if not (isinstance(p, int) and p == key):
             p = check_enumerable(p)
         if p == key:
             hits += 1

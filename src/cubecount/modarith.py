@@ -40,8 +40,10 @@ class Prime(int):
     is a ValueError too.  The primality test is _tables.char2_if_prime, and
     its answer is kept as char2: 2^((p-1)/3) mod p for p = 1 (mod 3), 1
     exactly when 2 is a cube mod p and otherwise a primitive cube root of
-    unity, which seeds quadform.represent_a3b's descent; 1 for p = 2
-    (mod 3).  A copy or an unpickled one is Prime(int(p)), tested afresh.
+    unity, which seeds quadform.represent_a3b's descent with no pow of its
+    own (when it is 1 the descent takes 3^((p+1)/4) for p = 3 (mod 4) and
+    searches odd non-cubes otherwise); 1 for p = 2 (mod 3).  A copy or an
+    unpickled one is Prime(int(p)), tested afresh.
     """
 
     def __new__(cls, p) -> "Prime":

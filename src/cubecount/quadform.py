@@ -99,13 +99,16 @@ def represent_a3b(p: int) -> QuadRep:
     is one entry whatever its integer type.  A miss runs _descend_a3b: a
     Cornacchia-style Euclidean descent from a square root of -3, the
     remainder sequence from (p, root), root > p/2, down to its first term
-    at most sqrt(p), which is |A|; B follows by subtraction.  root = 2w + 1
-    for a primitive cube root of unity w, as w^2 + w + 1 = 0: the Prime's
-    char2, 2^((p-1)/3), when 2 is no cube (two times in three, so the
-    descent takes no pow), else g^((p-1)/3) for the least non-cube g,
-    searched from 3 (a prime has one below p).  QuadRep checks the result,
-    so a descent gone wrong is InternalInconsistency.  cache_info and
-    cache_clear are those of _cached_a3b, the same memo without the check.
+    at most isqrt(p), which is |A|; B follows by subtraction.  When 2 is no
+    cube (two times in three) root = 2w + 1 for the primitive cube root of
+    unity w = 2^((p-1)/3), the Prime's char2, as w^2 + w + 1 = 0, so the
+    descent takes no pow.  When 2 is a cube it takes one pow for p = 3
+    (mod 4), root = 3^((p+1)/4), as (3/p) = -1 there; for p = 1 (mod 4) it
+    takes w = g^((p-1)/3) for the least non-cube g, which is odd (an even
+    g is a cube exactly when g/2 is), so only odd g are tried, from 3 up
+    (a prime has a non-cube below p).  QuadRep checks the result, so a
+    descent gone wrong is InternalInconsistency.  cache_info and cache_clear
+    are those of _cached_a3b, the same memo without the check.
     """
     return _cached_a3b(_require_1mod3(p))
 
@@ -124,13 +127,19 @@ represent_a3b.cache_clear = _cached_a3b.cache_clear
 
 def _descend_a3b(p: Prime) -> QuadRep:
     # represent_a3b's descent, run once per memo miss
-    g, w = 3, p.char2  # char2 is 2^((p-1)/3): g = 2 is tried already
-    while w == 1:
-        w = pow(g, (p - 1) // 3, p)
-        g += 1
-    root = (2 * w + 1) % p
-    b, c = p, max(root, p - root)
-    while c * c > p:
+    w = p.char2  # 2^((p-1)/3): 1 when 2 is a cube, else a primitive cube root of unity
+    if w == 1 and p % 4 == 3:
+        # p = 7 (mod 12): (-1/p) = -1 and (-3/p) = 1, so (3/p) = -1 and
+        # the square of 3^((p+1)/4) is 3 (3/p) = -3
+        root = pow(3, (p + 1) // 4, p)
+    else:
+        g = 1
+        while w == 1:  # 2 is a cube, so an even g is one exactly when g/2 is
+            g += 2
+            w = pow(g, (p - 1) // 3, p)
+        root = (2 * w + 1) % p
+    b, c, s = p, max(root, p - root), isqrt(p)
+    while c > s:
         b, c = c, b % c
     # 3 never divides c (c^2 = p - 3B^2 = 1 mod 3), so exactly one sign is A.
     return QuadRep(c if c % 3 == 1 else -c, isqrt((p - c * c) // 3), p)

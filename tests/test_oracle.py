@@ -15,7 +15,7 @@ import pytest
 from cubecount import _tables, oracle
 from cubecount.cubicres import count_t_preimages, h_set, in_c0, t_preimage_counts
 from cubecount.errors import CompositeModulus, EmptyDomain, InternalInconsistency, ZeroArgument
-from cubecount.modarith import legendre
+from cubecount.modarith import Prime, legendre
 from cubecount.oracle import (
     BRUTE_BLOCK,
     FAMILY_BLOCK_BYTES,
@@ -770,6 +770,25 @@ def test_per_prime_shares_one_slot_across_integer_types():
         _tables.unit_powers(13.0)
     _tables.unit_powers.cache_clear()
     assert _tables.unit_powers.cache_info() == (0, 0, 1, 0)
+
+
+def test_a_prime_equal_to_the_cached_key_hits_without_a_primality_test(monkeypatch):
+    # a Prime (what QuadRep.p and checked_prime give) used to run
+    # check_enumerable, and so is_prime, on every hit
+    P = Prime(1009)
+    _tables.unit_powers.cache_clear()
+    first = _tables.unit_powers(1009)
+    tests, is_prime = [], _tables.is_prime
+    monkeypatch.setattr(_tables, "is_prime", lambda n: tests.append(n) or is_prime(n))
+    for p in (P, 1009, P):
+        assert _tables.unit_powers(p) is first
+    assert tests == []
+    assert _tables.unit_powers(np.int64(1009)) is first  # checked, then the same slot
+    assert tests == [1009]
+    with pytest.raises(ValueError, match="must be an integer"):
+        _tables.unit_powers(1009.0)
+    assert _tables.unit_powers.cache_info()[:2] == (4, 1)
+    _tables.unit_powers.cache_clear()
 
 
 def enumerating_calls(p: int) -> dict:

@@ -218,6 +218,7 @@ def test_a_prime_whose_2_is_no_cube_costs_the_descent_no_pow(monkeypatch):
     primes = primes_1mod3_61_bits(20261024, 40)
     cube = [p for p in primes if pow(2, (p - 1) // 3, p) == 1]
     assert cube and len(cube) < len(primes)
+    assert {p % 4 for p in cube} == {1, 3}  # both branches of a cube case
     for p in primes:
         runs = []
         for q in (Prime(p), p):
@@ -225,9 +226,26 @@ def test_a_prime_whose_2_is_no_cube_costs_the_descent_no_pow(monkeypatch):
             bases.clear()
             represent_a3b(q)
             runs.append(bases[:])
-        # 2 is a cube: the search starts at 3, the Prime has already tried 2
-        assert runs[0][:1] == ([3] if p in cube else []), p
         assert runs[1] == runs[0], p  # an int is checked into the same Prime
+        if p not in cube:
+            assert runs[0] == [], p  # the Prime's char2 is the root of unity
+        elif p % 4 == 3:
+            assert runs[0] == [3], p  # one pow, 3^((p+1)/4), a root of -3
+        else:
+            # odd g from 3 up, ending at the first non-cube
+            assert runs[0] == list(range(3, 2 * len(runs[0]) + 3, 2)), p
+            assert [pow(g, (p - 1) // 3, p) == 1 for g in runs[0]] == [True] * (len(runs[0]) - 1) + [False], p
+    represent_a3b.cache_clear()
+
+
+@pytest.mark.parametrize("p", [1939270450762495531, 1368793644238468897])
+def test_a_prime_whose_2_and_3_are_cubes_gets_the_cornacchia_rep(p):
+    # 2 and 3 are both cubes, so a search from 3 goes on to 5; one of each mod-4 class
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    assert pow(2, (p - 1) // 3, p) == pow(3, (p - 1) // 3, p) == 1
+    ((x, y),) = diophantine.cornacchia(1, 3, p)
+    represent_a3b.cache_clear()
+    assert represent_a3b(p) == (x if x % 3 == 1 else -x, y, p)
     represent_a3b.cache_clear()
 
 
